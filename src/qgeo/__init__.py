@@ -13,7 +13,6 @@ from .errors import (
     BadSpin,
     BasepointMismatch,
     IdentityViolation,
-    NoConvergence,
     NonPositive,
     NotAntiHermitian,
     NotDescending,
@@ -24,7 +23,6 @@ from .errors import (
     QGeoError,
     SpectrumDrift,
     SpectrumMismatch,
-    WindowViolated,
 )
 from .geometry import (
     AmbientTangent,

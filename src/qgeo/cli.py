@@ -208,8 +208,8 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     drift = result.max_drift
     residual = result.max_flow_residual
     print(f"evolve: t={args.t}, steps={args.steps}, hbar={hbar}")
-    print(f"max spectrum drift    = {drift:.3e} (gate 1e-9)")
-    print(f"max flow fd residual  = {residual:.3e} (gate 1e-4)")
+    print(f"max spectrum drift    = {drift:.3e} (gate {tol.spec:.3g})")
+    print(f"max flow fd residual  = {residual:.3e} (gate {tol.flow:.3g})")
     payload = {
         "t": args.t,
         "steps": args.steps,
@@ -221,7 +221,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         "max_flow_residual": residual,
     }
     _write_out(args.out, payload)
-    if drift > 1e-9 or residual > 1e-4:
+    if drift > tol.spec or residual > tol.flow:
         print("evolve: gates violated", file=sys.stderr)
         return 2
     return 0

@@ -22,10 +22,6 @@ class NotAntiHermitian(QGeoError):
     """Matrix fails the anti-Hermiticity tolerance."""
 
 
-class NoConvergence(QGeoError):
-    """Iterative eigensolver exceeded its sweep cap."""
-
-
 class NotNormalized(QGeoError):
     """Probability weights do not sum to one."""
 
@@ -61,10 +57,6 @@ class BadSpin(QGeoError):
 
 class SpectrumDrift(QGeoError):
     """Evolved state left its isospectral orbit beyond tolerance."""
-
-
-class WindowViolated(QGeoError):
-    """The epsilon window for the four-observable experiment fails."""
 
 
 class IdentityViolation(QGeoError):

@@ -151,6 +151,19 @@ class TestEvolveCommand:
         assert max(series) - min(series) <= 1e-12
         assert payload["max_spectrum_drift"] <= 1e-12
 
+    def test_tol_scale_loosens_gates(self, workdir, tmp_path, capsys):
+        # two coarse steps leave a flow residual of about 0.025: above the
+        # default gate 1e-4, below the gate 0.1 at scale 1e3
+        args = ["evolve", str(workdir / "state.json"), str(workdir / "ham.json"),
+                "--t", "1", "--steps", "2",
+                "--probes-file", str(workdir / "obs.json")]
+        assert main(args) == 2
+        out = tmp_path / "ev.json"
+        capsys.readouterr()
+        assert main(args + ["--tol-scale", "1e3", "--out", str(out)]) == 0
+        assert "(gate 0.1)" in capsys.readouterr().out
+        assert 1e-4 < json.loads(out.read_text())["max_flow_residual"] <= 0.1
+
     def test_malformed_json_exit_1(self, workdir):
         assert main(["evolve", str(workdir / "not_json.json"),
                      str(workdir / "ham.json"), "--t", "1", "--steps", "5"]) == 1
