@@ -221,7 +221,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         "max_flow_residual": residual,
     }
     _write_out(args.out, payload)
-    if drift > tol.spec or residual > tol.flow:
+    if not (drift <= tol.spec and residual <= tol.flow):
         print("evolve: gates violated", file=sys.stderr)
         return 2
     return 0

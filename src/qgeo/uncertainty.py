@@ -36,8 +36,8 @@ from .geometry import (
     split,
     xi_field,
 )
-from .linalg import check_hermitian, frobenius, hermitian_eigensystem, unitary_exponential_family
-from .states import DensityState, PurificationFrame, frame_from_eigensystem, frame_to_state
+from .linalg import check_hermitian, frobenius, hermitian_eigensystem
+from .states import DensityState, PurificationFrame, frame_to_state, purify
 
 __all__ = [
     "BoundReport",
@@ -265,65 +265,61 @@ def evolve(h, state: DensityState, t: float, steps: int,
            probes: Mapping[str, np.ndarray] | None = None) -> EvolutionResult:
     """Conjugation flow rho_j = U_j rho U_j† with U_j = exp(-i H t_j / hbar).
 
-    Exact exponentials per sample point (one shared eigendecomposition of
-    the generator), so staying on the isospectral orbit is an identity, not
-    an integrator property. Every rho_j is certified against the declared
-    spectrum; drift beyond tol.spec raises SpectrumDrift.
+    One eigendecomposition H = V diag(lambda) V† gives every exact
+    exponential U_j = V diag(exp(-i lambda t_j / hbar)) V† at once, so
+    staying on the isospectral orbit is an identity, not an integrator
+    property. The spectrum of every rho_j is certified independently of the
+    flow by one batched eigensolve; drift beyond tol.spec raises
+    SpectrumDrift at the first offending step.
 
-    For each probe observable B the flow derivative d<B>/dt is compared to
-    the symplectic bracket {B, H}_w at interior points by central
-    differences; residuals are returned per probe.
+    The canonical purification psi_0 of the initial state is transported
+    exactly as psi_j = U_j psi_0, with no eigensolve per step. For each probe
+    observable B the flow derivative d<B>/dt, by central differences at the
+    interior points, is compared to the symplectic bracket
+    {B, H}_w = W(X_B, X_H) of the lifts X_A = A psi_j / (i hbar); residuals
+    are returned per probe. t must be finite and nonzero.
     """
     ctx = ctx or GeometryContext()
     h = check_hermitian(np.asarray(h, dtype=complex), ctx.tol, "hamiltonian")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    probes = dict(probes or {})
-    for name, mat in probes.items():
-        probes[name] = check_hermitian(np.asarray(mat, dtype=complex), ctx.tol, f"probe {name!r}")
+    if not (np.isfinite(t) and t != 0):
+        raise ValueError(f"t must be finite and nonzero, got {t}")
+    probes = {name: check_hermitian(np.asarray(mat, dtype=complex), ctx.tol, f"probe {name!r}")
+              for name, mat in (probes or {}).items()}
 
-    flow = unitary_exponential_family(h / (1j * ctx.hbar), ctx.tol)
+    hbar = ctx.hbar
     times = np.linspace(0.0, t, steps + 1)
-    sigma = state.sigma
-    padded = sigma.padded(state.n)
+    values, vectors = hermitian_eigensystem(h, ctx.tol)
+    phases = np.exp(-1j * np.outer(times, values) / hbar)
+    flow = np.einsum("ak,sk,bk->sab", vectors, phases, vectors.conj())
+    rho = flow @ state.rho @ flow.conj().swapaxes(-1, -2)
+    rho = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
 
-    states: list[DensityState] = []
-    frames: list[PurificationFrame] = []
-    drift = np.zeros(steps + 1)
-    for j, tj in enumerate(times):
-        u = flow(float(tj))
-        rho_j = u @ state.rho @ u.conj().T
-        rho_j = 0.5 * (rho_j + rho_j.conj().T)
-        values, vectors = hermitian_eigensystem(rho_j, ctx.tol)
-        drift[j] = float(np.max(np.abs(values - padded)))
-        if drift[j] > ctx.tol.spec:
-            raise SpectrumDrift(
-                f"state left its orbit at t={tj}: eigenvalue drift {drift[j]:.3e}"
-            )
-        states.append(DensityState(rho_j, sigma))
-        frames.append(frame_from_eigensystem(values, vectors, sigma, ctx.tol))
+    spectra = np.linalg.eigvalsh(rho)[:, ::-1]
+    drift = np.max(np.abs(spectra - state.sigma.padded(state.n)), axis=1)
+    off_orbit = np.flatnonzero(~(drift <= ctx.tol.spec))
+    if off_orbit.size:
+        j = off_orbit[0]
+        raise SpectrumDrift(
+            f"state left its orbit at t={times[j]}: eigenvalue drift {drift[j]:.3e}"
+        )
 
-    expectations = {
-        name: np.array([_expect(mat, s.rho) for s in states])
-        for name, mat in probes.items()
-    }
+    psi = flow @ purify(state, ctx.tol).psi
+    lift_h = h @ psi[1:-1] / (1j * hbar)
+    dt = times[1] - times[0]
+    expectations: dict[str, np.ndarray] = {}
     residuals: dict[str, np.ndarray] = {}
-    if steps >= 2 and probes:
-        dt = times[1] - times[0]
-        for name, mat in probes.items():
-            series = expectations[name]
-            res = np.zeros(steps - 1)
-            for j in range(1, steps):
-                fd = (series[j + 1] - series[j - 1]) / (2.0 * dt)
-                w = brackets(mat, h, frames[j], ctx).w
-                res[j - 1] = abs(fd - w)
-            residuals[name] = res
-    elif probes:
-        residuals = {name: np.zeros(0) for name in probes}
+    for name, mat in probes.items():
+        series = np.einsum("ab,sba->s", mat, rho).real
+        lift_b = mat @ psi[1:-1] / (1j * hbar)
+        w = 2.0 * hbar * np.einsum("sak,sak->s", lift_b.conj(), lift_h).imag
+        expectations[name] = series
+        residuals[name] = np.abs((series[2:] - series[:-2]) / (2.0 * dt) - w)
 
     return EvolutionResult(
         times=times,
-        states=tuple(states),
+        states=tuple(DensityState(r, state.sigma) for r in rho),
         expectations=expectations,
         flow_residuals=residuals,
         spectrum_drift=drift,

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import Tolerances, default_tolerances
-from .errors import IdentityViolation
+from .errors import IdentityViolation, SpectrumDrift
 from .geometry import (
     GeometryContext,
     AmbientTangent,
@@ -577,7 +577,13 @@ def run_evolution_suites(cfg: RunConfig) -> list[SuiteResult]:
         h = h / max(1.0, frobenius(h))
         b = b / max(1.0, frobenius(b))
         state = frame_to_state(frame)
-        result = evolve(h, state, t=0.1, steps=100, ctx=ctx, probes={"B": b})
+        try:
+            result = evolve(h, state, t=0.1, steps=100, ctx=ctx, probes={"B": b})
+        except SpectrumDrift:
+            # a trajectory that leaves its orbit fails both suites, not the run
+            drift.add(1.0, cfg.tol.spec)
+            flow.add(1.0, cfg.tol.flow)
+            continue
         drift.add(result.max_drift, cfg.tol.spec)
         flow.add(result.max_flow_residual, cfg.tol.flow)
     return [drift, flow]

@@ -172,6 +172,14 @@ class TestEvolveCommand:
         assert main(["evolve", str(workdir / "state.json"),
                      str(workdir / "ham.json"), "--t", "1", "--steps", "0"]) == 1
 
+    @pytest.mark.parametrize("t", ["0", "nan"])
+    def test_bad_time_exit_1(self, workdir, t, capsys):
+        # at t = 0 every flow residual would be NaN, which must not pass a gate
+        assert main(["evolve", str(workdir / "state.json"), str(workdir / "ham.json"),
+                     "--t", t, "--steps", "4",
+                     "--probes-file", str(workdir / "obs.json")]) == 1
+        assert "finite and nonzero" in capsys.readouterr().err
+
 
 class TestVerificationFailurePaths:
     def test_spin_demo_winner_mismatch_exits_2(self, monkeypatch, capsys):

@@ -365,6 +365,11 @@ class TestDiagnostics:
         # orbit dim = dim U(3) - dim stabilizer(diag(0.7, 0.3, 0)) = 9 - 3
         assert rank_g == 6
 
+    def test_omega_rank_degenerate(self, mixed_frame, ctx):
+        rank_w, rank_g = omega_rank(mixed_frame, ctx)
+        # stabilizer of diag(0.5, 0.25, 0.25, 0, 0) is U(1) x U(2) x U(2)
+        assert rank_w == rank_g == 25 - (1 + 4 + 4)
+
     def test_context_requires_positive_hbar(self):
         with pytest.raises(NonPositive):
             GeometryContext(hbar=0.0)

@@ -254,6 +254,44 @@ class TestEvolve:
         with pytest.raises(ValueError):
             evolve(np.eye(3), state, t=1.0, steps=0, ctx=ctx)
 
+    @pytest.mark.parametrize("t", [0.0, np.nan, np.inf])
+    def test_time_validation(self, demo, ctx, t):
+        # t = 0 would make every central difference 0/0
+        spin, state, _ = demo
+        with pytest.raises(ValueError, match="finite and nonzero"):
+            evolve(spin.sx, state, t=t, steps=4, ctx=ctx, probes={"Sz": spin.sz})
+
+    def test_matches_per_step_geometric_reference(self, mixed_frame, rng):
+        # rank-deficient, degenerate spectrum at hbar != 1; every step is
+        # recomputed here with its own eigensolve and the library's bracket
+        ctx = GeometryContext(hbar=0.32)
+        state = frame_to_state(mixed_frame)
+        h = sample_hermitian(5, rng)
+        b = sample_hermitian(5, rng)
+        t, steps = 0.2, 40
+        result = evolve(h, state, t=t, steps=steps, ctx=ctx, probes={"B": b})
+
+        lam, vec = np.linalg.eigh(h)
+        padded = state.sigma.padded(5)
+        times = np.linspace(0.0, t, steps + 1)
+        exp_ref = np.zeros(steps + 1)
+        for j, tj in enumerate(times):
+            u = (vec * np.exp(-1j * lam * tj / ctx.hbar)) @ vec.conj().T
+            rho_j = u @ state.rho @ u.conj().T
+            drift_j = np.max(np.abs(np.linalg.eigh(rho_j)[0][::-1] - padded))
+            assert abs(result.spectrum_drift[j] - drift_j) <= 1e-10
+            exp_ref[j] = np.real(np.trace(b @ rho_j))
+        assert np.max(np.abs(result.expectations["B"] - exp_ref)) <= 1e-10
+
+        dt = times[1] - times[0]
+        res_ref = np.zeros(steps - 1)
+        for j in range(1, steps):
+            fd = (exp_ref[j + 1] - exp_ref[j - 1]) / (2.0 * dt)
+            w = brackets(b, h, purify(result.states[j]), ctx).w
+            assert w != 0.0
+            res_ref[j - 1] = abs(fd - w)
+        assert np.max(np.abs(result.flow_residuals["B"] - res_ref)) <= 1e-10
+
     def test_hbar_dependence(self, demo, demo_spec):
         spin, state, _ = demo
         slow = evolve(spin.sx, state, t=0.3, steps=30,

@@ -79,6 +79,19 @@ class TestCampaign:
         with pytest.raises(ValueError):
             RunConfig(hbar=-1.0).validate()
 
+    def test_drifting_trajectory_counts_as_failure(self, monkeypatch):
+        import qgeo.verify
+        from qgeo.errors import SpectrumDrift
+
+        def drifting(*args, **kwargs):
+            raise SpectrumDrift("state left its orbit")
+
+        monkeypatch.setattr(qgeo.verify, "evolve", drifting)
+        results = summary(run_all(RunConfig(seed=7, trials=20, dim_max=4)))
+        assert results["evolution_spectrum_drift"]["fail"] == 1
+        assert results["evolution_flow_derivative"]["fail"] == 1
+        assert results["identity_product"]["fail"] == 0
+
     def test_identity_campaign_reports_all_suites(self):
         results = run_identity_campaign(RunConfig(seed=3, trials=10, dim_max=5))
         names = {r.name for r in results}
