@@ -56,7 +56,15 @@ class BadSpin(QGeoError):
 
 
 class SpectrumDrift(QGeoError):
-    """Evolved state left its isospectral orbit beyond tolerance."""
+    """Evolved state left its isospectral orbit beyond tolerance.
+
+    ``drift`` is the measured eigenvalue deviation at the offending step
+    (NaN when the raiser did not measure one).
+    """
+
+    def __init__(self, message: str, drift: float = float("nan")):
+        super().__init__(message)
+        self.drift = drift
 
 
 class IdentityViolation(QGeoError):

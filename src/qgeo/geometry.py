@@ -344,18 +344,15 @@ def omega_rank(psi: PurificationFrame, ctx: GeometryContext | None = None,
             basis.append(f)
     lifts = [hamiltonian_lift(a, psi, ctx) for a in basis]
     hors = [split(psi, x, ctx)[0] for x in lifts]
-
-    def _hs_gram(tangents: list[AmbientTangent]) -> np.ndarray:
-        # M[i, j] = Tr(X_i† X_j) for every pair at once
-        stack = np.stack([x.x.reshape(-1) for x in tangents])
-        return stack.conj() @ stack.T
-
-    # the two orders of each pair are combined, as in ambient_forms, so g is
-    # exactly symmetric and w exactly antisymmetric
-    m_w = _hs_gram(lifts)
-    m_g = _hs_gram(hors)
-    gram_w = ctx.hbar * (m_w.imag - m_w.imag.T)
-    gram_g = ctx.hbar * (m_g.real + m_g.real.T)
+    d = len(basis)
+    gram_w = np.zeros((d, d))
+    gram_g = np.zeros((d, d))
+    for i in range(d):
+        for j in range(i, d):
+            gram_w[i, j] = ambient_forms(lifts[i], lifts[j], ctx).w
+            gram_w[j, i] = -gram_w[i, j]
+            gram_g[i, j] = ambient_forms(hors[i], hors[j], ctx).g
+            gram_g[j, i] = gram_g[i, j]
 
     def _rank(sym: np.ndarray) -> int:
         values, _ = hermitian_eigensystem(sym.astype(complex), ctx.tol)

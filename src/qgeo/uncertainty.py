@@ -37,7 +37,7 @@ from .geometry import (
     xi_field,
 )
 from .linalg import check_hermitian, frobenius, hermitian_eigensystem
-from .states import DensityState, PurificationFrame, frame_to_state, purify
+from .states import DensityState, PurificationFrame, frame_to_state
 
 __all__ = [
     "BoundReport",
@@ -272,12 +272,12 @@ def evolve(h, state: DensityState, t: float, steps: int,
     flow by one batched eigensolve; drift beyond tol.spec raises
     SpectrumDrift at the first offending step.
 
-    The canonical purification psi_0 of the initial state is transported
-    exactly as psi_j = U_j psi_0, with no eigensolve per step. For each probe
-    observable B the flow derivative d<B>/dt, by central differences at the
-    interior points, is compared to the symplectic bracket
-    {B, H}_w = W(X_B, X_H) of the lifts X_A = A psi_j / (i hbar); residuals
-    are returned per probe. t must be finite and nonzero.
+    For each probe observable B the flow derivative d<B>/dt, by central
+    differences at the interior points, is compared to the symplectic
+    bracket {B, H}_w = W(X_B, X_H) of the lifts X_A = A psi_j / (i hbar).
+    Because psi_j psi_j† = rho_j, that pairing is (2/hbar) Im Tr(rho_j B H),
+    so it is read off the stack of states without building a frame per
+    step; residuals are returned per probe. t must be finite and nonzero.
     """
     ctx = ctx or GeometryContext()
     h = check_hermitian(np.asarray(h, dtype=complex), ctx.tol, "hamiltonian")
@@ -302,18 +302,16 @@ def evolve(h, state: DensityState, t: float, steps: int,
     if off_orbit.size:
         j = off_orbit[0]
         raise SpectrumDrift(
-            f"state left its orbit at t={times[j]}: eigenvalue drift {drift[j]:.3e}"
+            f"state left its orbit at t={times[j]}: eigenvalue drift {drift[j]:.3e}",
+            drift=float(drift[j]),
         )
 
-    psi = flow @ purify(state, ctx.tol).psi
-    lift_h = h @ psi[1:-1] / (1j * hbar)
     dt = times[1] - times[0]
     expectations: dict[str, np.ndarray] = {}
     residuals: dict[str, np.ndarray] = {}
     for name, mat in probes.items():
         series = np.einsum("ab,sba->s", mat, rho).real
-        lift_b = mat @ psi[1:-1] / (1j * hbar)
-        w = 2.0 * hbar * np.einsum("sak,sak->s", lift_b.conj(), lift_h).imag
+        w = (2.0 / hbar) * np.einsum("ab,sba->s", mat @ h, rho[1:-1]).imag
         expectations[name] = series
         residuals[name] = np.abs((series[2:] - series[:-2]) / (2.0 * dt) - w)
 

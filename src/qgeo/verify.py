@@ -120,6 +120,13 @@ class SuiteResult:
         else:
             self.failed += 1
 
+    def fail(self, residual: float = float("nan")) -> None:
+        """Count a trial that could not be checked as failed, whatever the
+        limit; a measured residual (not NaN) still updates the worst."""
+        if residual > self.worst_residual:
+            self.worst_residual = float(residual)
+        self.failed += 1
+
     @property
     def ok(self) -> bool:
         return self.failed == 0
@@ -579,10 +586,10 @@ def run_evolution_suites(cfg: RunConfig) -> list[SuiteResult]:
         state = frame_to_state(frame)
         try:
             result = evolve(h, state, t=0.1, steps=100, ctx=ctx, probes={"B": b})
-        except SpectrumDrift:
+        except SpectrumDrift as exc:
             # a trajectory that leaves its orbit fails both suites, not the run
-            drift.add(1.0, cfg.tol.spec)
-            flow.add(1.0, cfg.tol.flow)
+            drift.fail(exc.drift)
+            flow.fail()
             continue
         drift.add(result.max_drift, cfg.tol.spec)
         flow.add(result.max_flow_residual, cfg.tol.flow)
@@ -616,7 +623,7 @@ def run_spin_suites(cfg: RunConfig) -> list[SuiteResult]:
             forms = closed_forms(spec, ctx)
         except IdentityViolation:
             # a failed internal cross-check is a suite failure, not a crash
-            agreement.add(1.0, cfg.tol.invariance)
+            agreement.fail()
             continue
         _, perp = xi_field(spin.sz, frame, ctx)
         machine = {
@@ -651,7 +658,7 @@ def run_spin_demo_suite(cfg: RunConfig) -> SuiteResult:
     try:
         demo = abcd_experiment(spec, 0.25, ctx)
     except IdentityViolation:
-        res.add(1.0, cfg.tol.demo)
+        res.fail()
         return res
     targets = [
         (demo.closed.sxsy_omega, 0.7),

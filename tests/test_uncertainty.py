@@ -246,8 +246,9 @@ class TestEvolve:
         sigma = make_spectrum((0.7, 0.3))
         rho = np.diag([0.7 + 5e-9, 0.3 - 5e-9]).astype(complex)
         bad = DensityState(rho, sigma)  # bypasses validation on purpose
-        with pytest.raises(SpectrumDrift):
+        with pytest.raises(SpectrumDrift) as info:
             evolve(np.eye(2), bad, t=0.1, steps=1, ctx=ctx)
+        assert abs(info.value.drift - 5e-9) <= 1e-15
 
     def test_steps_validation(self, demo, ctx):
         _, state, _ = demo

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qgeo.cli
+from qgeo.config import Tolerances
 from qgeo.geometry import GeometryContext
 from qgeo.linalg import trial_rng
 from qgeo.uncertainty import classify
@@ -16,6 +17,8 @@ from qgeo.verify import (
     random_spectrum,
     run_all,
     run_identity_campaign,
+    run_spin_demo_suite,
+    run_spin_suites,
     summary,
 )
 
@@ -28,6 +31,13 @@ class TestSuiteResult:
         assert res.passed == 1 and res.failed == 1
         assert res.worst_residual == 2e-9
         assert not res.ok
+
+    def test_fail_ignores_limit_and_keeps_measured_worst(self):
+        res = SuiteResult("demo")
+        res.fail()
+        assert res.failed == 1 and res.worst_residual == 0.0
+        res.fail(0.5)
+        assert res.failed == 2 and res.worst_residual == 0.5
 
 
 class TestGenerators:
@@ -79,18 +89,41 @@ class TestCampaign:
         with pytest.raises(ValueError):
             RunConfig(hbar=-1.0).validate()
 
-    def test_drifting_trajectory_counts_as_failure(self, monkeypatch):
+    @pytest.mark.parametrize("scale", [1.0, 1e5])
+    def test_drifting_trajectory_counts_as_failure(self, monkeypatch, scale):
+        # at scale 1e5 the flow limit exceeds 1, so a stand-in residual
+        # would pass; the drifted trial must still fail both suites
         import qgeo.verify
         from qgeo.errors import SpectrumDrift
 
         def drifting(*args, **kwargs):
-            raise SpectrumDrift("state left its orbit")
+            raise SpectrumDrift("state left its orbit", drift=0.25)
 
         monkeypatch.setattr(qgeo.verify, "evolve", drifting)
-        results = summary(run_all(RunConfig(seed=7, trials=20, dim_max=4)))
+        cfg = RunConfig(seed=7, trials=20, dim_max=4, tol=Tolerances().scaled(scale))
+        results = summary(run_all(cfg))
         assert results["evolution_spectrum_drift"]["fail"] == 1
+        assert results["evolution_spectrum_drift"]["worst_residual"] == 0.25
         assert results["evolution_flow_derivative"]["fail"] == 1
+        assert results["evolution_flow_derivative"]["worst_residual"] == 0.0
         assert results["identity_product"]["fail"] == 0
+
+    def test_failed_spin_cross_check_counts_as_failure(self, monkeypatch):
+        # at scale 1e9 the invariance and demo limits reach 1, so a stand-in
+        # residual of 1 would pass
+        import qgeo.verify
+        from qgeo.errors import IdentityViolation
+
+        def violating(*args, **kwargs):
+            raise IdentityViolation("cross-check failed")
+
+        monkeypatch.setattr(qgeo.verify, "closed_forms", violating)
+        monkeypatch.setattr(qgeo.verify, "abcd_experiment", violating)
+        cfg = RunConfig(seed=7, trials=10, tol=Tolerances().scaled(1e9))
+        agreement, _ = run_spin_suites(cfg)
+        demo = run_spin_demo_suite(cfg)
+        assert agreement.failed == cfg.fifth and agreement.passed == 0
+        assert demo.failed == 1 and demo.passed == 0
 
     def test_identity_campaign_reports_all_suites(self):
         results = run_identity_campaign(RunConfig(seed=3, trials=10, dim_max=5))
