@@ -27,6 +27,7 @@ from .errors import (
 from .geometry import (
     AmbientTangent,
     GeometryContext,
+    PairTerms,
     ambient_forms,
     ambient_tangent,
     brackets,
@@ -36,6 +37,7 @@ from .geometry import (
     inertia_inner,
     momentum_map,
     omega_rank,
+    pair_terms,
     pushforward,
     random_tangent,
     split,

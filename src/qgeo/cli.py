@@ -23,7 +23,7 @@ from pathlib import Path
 from .config import Tolerances, env_tol_scale
 from .errors import IdentityViolation, QGeoError, SpectrumDrift
 from .geometry import GeometryContext
-from .linalg import check_hermitian
+from .linalg import check_observable
 from .serialize import (
     bound_report_to_json,
     dumps,
@@ -120,7 +120,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
                 raise QGeoError(f"observable {name!r} not present in {args.obs_file}")
         pairs.append((parts[0], parts[1]))
     for name in sorted({n for pair in pairs for n in pair}):
-        check_hermitian(observables[name], tol, f"obs {name!r}")
+        check_observable(observables[name], state.n, tol, f"obs {name!r}")
 
     reports = {}
     print(f"{'pair':<16} {'dA*dB':>12} {'geo':>12} {'rs':>12} {'combined':>12}  winner")

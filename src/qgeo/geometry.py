@@ -21,6 +21,12 @@ Gauge covariance: xi_A transforms by conjugation U† xi_A U under
 psi -> psi U, so only Ad-invariant contractions of xi-fields (inner products,
 chi-projections) are well-defined scalars on the orbit; those are what this
 module exports alongside the brackets.
+
+Every such scalar of an observable pair reduces to k x k data on the
+ancilla: with Y_A = A psi, M_A = psi†Y_A and D_A its block-diagonal part,
+xi_A = D_A P^-1 / (i hbar), and ``pair_terms`` evaluates brackets and
+xi-products from (Y_A, M_A) alone. The ambient lift/split/connection path
+stays as the independent oracle that ``verify`` checks it against.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ from .linalg import (
     check_anti_hermitian,
     check_finite,
     check_hermitian,
+    check_observable,
     frobenius,
     hermitian_eigensystem,
 )
@@ -54,6 +61,7 @@ __all__ = [
     "random_tangent",
     "AmbientForms",
     "BracketValue",
+    "PairTerms",
     "chi",
     "ambient_forms",
     "inertia_inner",
@@ -62,6 +70,7 @@ __all__ = [
     "split",
     "hamiltonian_lift",
     "xi_field",
+    "pair_terms",
     "brackets",
     "pushforward",
     "omega_rank",
@@ -105,6 +114,27 @@ class AmbientForms(NamedTuple):
 class BracketValue(NamedTuple):
     g: float
     w: float
+
+
+class PairTerms(NamedTuple):
+    """Every scalar of an observable pair at one state.
+
+    ``exp_*`` are <A>, <B>; ``second_*`` are <A^2>, <B^2>; ``g_*``/``w_ab``
+    are metric/symplectic brackets; ``p*_p*`` are the inertia products of the
+    chi-orthogonal xi-fields (``pa_pb`` = xi_A_perp . xi_B_perp).
+    """
+
+    exp_a: float
+    exp_b: float
+    second_a: float
+    second_b: float
+    g_ab: float
+    w_ab: float
+    g_aa: float
+    g_bb: float
+    pa_pb: float
+    pa_pa: float
+    pb_pb: float
 
 
 def _tangency_defect(x: np.ndarray, psi: np.ndarray) -> float:
@@ -285,6 +315,65 @@ def xi_field(a, psi: PurificationFrame, ctx: GeometryContext | None = None
     return xi, perp
 
 
+def pair_terms(a, b, psi: PurificationFrame,
+               ctx: GeometryContext | None = None) -> PairTerms:
+    """All pair scalars from the k x k data M_A = psi†A psi of each observable.
+
+    With Y_A = A psi, D_A the block-diagonal part of M_A and
+    Tr(A B rho) = <Y_A, Y_B>:
+
+      <A> = Tr M_A,   <A^2> = |Y_A|^2,
+      g_AB = (2/hbar) Re[Tr(A B rho) - Tr(D_A D_B P^-1)],
+      w_AB = (2/hbar) Im Tr(A B rho),
+      xi_A_perp . xi_B_perp = (2/hbar) [Re Tr(D_A D_B P^-1) - <A><B>].
+
+    These equal the ambient pairings of the (horizontal) lifts and the
+    inertia products of the xi-fields. Each observable is validated once:
+    Hermitian, and of the frame's dimension (BadDims otherwise).
+    """
+    ctx = ctx or GeometryContext()
+    ctx.check_sigma(psi.sigma)
+    frame = psi.psi
+    y_a = check_observable(a, psi.n, ctx.tol, "observable A") @ frame
+    y_b = check_observable(b, psi.n, ctx.tol, "observable B") @ frame
+    m_a = frame.conj().T @ y_a
+    m_b = frame.conj().T @ y_b
+    exp_a = float(np.vdot(frame, y_a).real)  # Tr M_A
+    exp_b = float(np.vdot(frame, y_b).real)
+    # (D_A - <A> P) P^-1/2, row-scaled (p is constant on each block): its
+    # pairings are the xi_perp products with no <A><B> cancellation, and
+    # <q_a, q_b> + <A><B> = Tr(D_A† D_B P^-1) since Tr P = 1
+    sigma = psi.sigma
+    root = np.sqrt(sigma.full)
+    labels = np.repeat(np.arange(sigma.l), sigma.mults)
+    weight = (labels[:, None] == labels[None, :]) / root[:, None]
+    q_a = m_a * weight - np.diag(exp_a * root)
+    q_b = m_b * weight - np.diag(exp_b * root)
+    qq = float(np.vdot(q_a, q_b).real)
+    sq_qa = float(np.vdot(q_a, q_a).real)
+    sq_qb = float(np.vdot(q_b, q_b).real)
+    # both orders are combined, as in ambient_forms, so g is exactly
+    # symmetric and w exactly antisymmetric
+    ab = complex(np.vdot(y_a, y_b))
+    ba = complex(np.vdot(y_b, y_a))
+    second_a = float(np.vdot(y_a, y_a).real)
+    second_b = float(np.vdot(y_b, y_b).real)
+    scale = 2.0 / ctx.hbar
+    return PairTerms(
+        exp_a=exp_a,
+        exp_b=exp_b,
+        second_a=second_a,
+        second_b=second_b,
+        g_ab=(ab.real + ba.real) / ctx.hbar - scale * (qq + exp_a * exp_b),
+        w_ab=(ab.imag - ba.imag) / ctx.hbar,
+        g_aa=scale * (second_a - sq_qa - exp_a * exp_a),
+        g_bb=scale * (second_b - sq_qb - exp_b * exp_b),
+        pa_pb=scale * qq,
+        pa_pa=scale * sq_qa,
+        pb_pb=scale * sq_qb,
+    )
+
+
 def brackets(a, b, psi: PurificationFrame,
              ctx: GeometryContext | None = None) -> BracketValue:
     """Metric and symplectic brackets of two observables at a state.
@@ -292,16 +381,11 @@ def brackets(a, b, psi: PurificationFrame,
     The metric bracket pairs the horizontal parts of the lifts (the
     submersion is isometric only horizontally); the symplectic bracket may
     use the full lifts, since vertical contributions cancel in the reduced
-    form. Both are gauge invariant.
+    form. Both are gauge invariant and computed from k x k data by
+    ``pair_terms``.
     """
-    ctx = ctx or GeometryContext()
-    lift_a = hamiltonian_lift(a, psi, ctx)
-    lift_b = hamiltonian_lift(b, psi, ctx)
-    hor_a, _ = split(psi, lift_a, ctx)
-    hor_b, _ = split(psi, lift_b, ctx)
-    g = ambient_forms(hor_a, hor_b, ctx).g
-    w = ambient_forms(lift_a, lift_b, ctx).w
-    return BracketValue(g, w)
+    t = pair_terms(a, b, psi, ctx)
+    return BracketValue(t.g_ab, t.w_ab)
 
 
 def pushforward(psi: PurificationFrame, x,

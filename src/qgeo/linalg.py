@@ -20,9 +20,11 @@ __all__ = [
     "check_square",
     "hermiticity_defect",
     "check_hermitian",
+    "check_observable",
     "check_anti_hermitian",
     "hermitian_eigensystem",
     "unitary_exponential",
+    "unitary_exponential_family",
     "make_rng",
     "trial_rng",
     "sample_hermitian",
@@ -40,7 +42,7 @@ def check_finite(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2:
         raise BadDims(f"{name} must be 2-dimensional, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise BadDims(f"{name} contains non-finite entries")
     return m
 
@@ -67,6 +69,15 @@ def check_hermitian(m: np.ndarray, tol: Tolerances | None = None,
     defect = hermiticity_defect(m)
     if defect > tol.herm:
         raise NotHermitian(f"{name}: relative Hermiticity defect {defect:.3e} > {tol.herm:.3e}")
+    return m
+
+
+def check_observable(m: np.ndarray, n: int, tol: Tolerances | None = None,
+                     name: str = "observable") -> np.ndarray:
+    """Hermitian n x n matrix: an observable on an n-level system."""
+    m = check_hermitian(np.asarray(m, dtype=complex), tol, name)
+    if m.shape[0] != n:
+        raise BadDims(f"{name} is {m.shape[0]} x {m.shape[0]}, the state lives in dimension {n}")
     return m
 
 

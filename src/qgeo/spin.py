@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadSpin, IdentityViolation, NonPositive, NotDescending, NotNormalized
-from .geometry import GeometryContext, brackets, inertia_inner, xi_field
+from .geometry import GeometryContext, pair_terms
 from .states import DensityState, PurificationFrame, Spectrum, make_spectrum
 from .uncertainty import BoundReport, decomposition, moments
 
@@ -172,11 +172,11 @@ def closed_forms(spec: EnsembleSpec, ctx: GeometryContext | None = None) -> Clos
 
     spin = build_spin(spec.s, hbar)
     state, psi = build_ensemble(spec)
-    _, sz_perp = xi_field(spin.sz, psi, ctx)
+    xy = pair_terms(spin.sx, spin.sy, psi, ctx)
     machine = {
-        "sxsy_omega": brackets(spin.sx, spin.sy, psi, ctx).w,
-        "sxsx_g": brackets(spin.sx, spin.sx, psi, ctx).g,
-        "xi_sz_perp_sq": inertia_inner(sz_perp, sz_perp, ctx),
+        "sxsy_omega": xy.w_ab,
+        "sxsx_g": xy.g_aa,
+        "xi_sz_perp_sq": pair_terms(spin.sz, spin.sz, psi, ctx).pa_pa,
         "sz_exp": moments(spin.sz, state, ctx.tol)[0],
     }
     for name, value in machine.items():

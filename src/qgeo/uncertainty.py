@@ -27,16 +27,8 @@ import numpy as np
 
 from .config import Tolerances
 from .errors import IdentityViolation, SpectrumDrift
-from .geometry import (
-    GeometryContext,
-    ambient_forms,
-    brackets,
-    hamiltonian_lift,
-    inertia_inner,
-    split,
-    xi_field,
-)
-from .linalg import check_hermitian, frobenius, hermitian_eigensystem
+from .geometry import GeometryContext, hamiltonian_lift, pair_terms, split
+from .linalg import check_observable, frobenius, hermitian_eigensystem
 from .states import DensityState, PurificationFrame, frame_to_state
 
 __all__ = [
@@ -75,8 +67,25 @@ class BoundReport:
     winner: str
 
 
-def _expect(a: np.ndarray, rho: np.ndarray) -> float:
-    return float(np.real(np.trace(a @ rho)))
+def _trace(x: np.ndarray, y: np.ndarray) -> complex:
+    """Tr(x y) without forming the product."""
+    return complex(np.einsum("ij,ji->", x, y))
+
+
+def _moments(a: np.ndarray, a_rho: np.ndarray) -> tuple[float, float]:
+    """<A> and dA from A and A rho."""
+    exp = float(np.trace(a_rho).real)
+    second = _trace(a, a_rho).real
+    return exp, float(np.sqrt(max(0.0, second - exp * exp)))
+
+
+def _rs(a: np.ndarray, b: np.ndarray, a_rho: np.ndarray, b_rho: np.ndarray) -> float:
+    """hypot(cov, com) from Tr(A B rho) and Tr(B A rho)."""
+    ab = _trace(a, b_rho)
+    ba = _trace(b, a_rho)
+    cov = 0.5 * (ab.real + ba.real) - float(np.trace(a_rho).real) * float(np.trace(b_rho).real)
+    com = 0.5 * (ab.imag - ba.imag)
+    return float(np.hypot(cov, com))
 
 
 def moments(a, state: DensityState, tol: Tolerances | None = None) -> tuple[float, float]:
@@ -84,29 +93,23 @@ def moments(a, state: DensityState, tol: Tolerances | None = None) -> tuple[floa
 
     Negative round-off under the square root is clamped to zero.
     """
-    a = check_hermitian(np.asarray(a, dtype=complex), tol, "observable")
-    exp = _expect(a, state.rho)
-    second = _expect(a @ a, state.rho)
-    return exp, float(np.sqrt(max(0.0, second - exp * exp)))
+    a = check_observable(a, state.n, tol)
+    return _moments(a, a @ state.rho)
 
 
 def rs_bound(a, b, state: DensityState, tol: Tolerances | None = None) -> float:
     """Robertson-Schrodinger lower bound for dA*dB at the state."""
-    a = check_hermitian(np.asarray(a, dtype=complex), tol, "observable A")
-    b = check_hermitian(np.asarray(b, dtype=complex), tol, "observable B")
-    rho = state.rho
-    sym = _expect(0.5 * (a @ b + b @ a), rho)
-    com = float(np.real(np.trace((a @ b - b @ a) @ rho) / 2j))
-    cov = sym - _expect(a, rho) * _expect(b, rho)
-    return float(np.hypot(cov, com))
+    a = check_observable(a, state.n, tol, "observable A")
+    b = check_observable(b, state.n, tol, "observable B")
+    return _rs(a, b, a @ state.rho, b @ state.rho)
 
 
 def geometric_bound(a, b, psi: PurificationFrame,
                     ctx: GeometryContext | None = None) -> float:
     """(hbar/2) sqrt(g^2 + w^2) from the orbit brackets."""
     ctx = ctx or GeometryContext()
-    g, w = brackets(a, b, psi, ctx)
-    return 0.5 * ctx.hbar * float(np.hypot(g, w))
+    t = pair_terms(a, b, psi, ctx)
+    return 0.5 * ctx.hbar * float(np.hypot(t.g_ab, t.w_ab))
 
 
 def combined_bound(a, b, psi: PurificationFrame,
@@ -115,16 +118,18 @@ def combined_bound(a, b, psi: PurificationFrame,
 
     Also verifies the decomposition identity
     rs^2 = geo^2 + (hbar^2/4) (2 g xiAB + xiAB^2) that makes the maximum
-    itself a bracket-level quantity.
+    itself a bracket-level quantity, with rs taken from traces against
+    rho = psi psi†.
     """
     ctx = ctx or GeometryContext()
-    g, w = brackets(a, b, psi, ctx)
-    _, pa = xi_field(a, psi, ctx)
-    _, pb = xi_field(b, psi, ctx)
-    cross = inertia_inner(pa, pb, ctx)
+    t = pair_terms(a, b, psi, ctx)
+    g, w, cross = t.g_ab, t.w_ab, t.pa_pb
     diff = 2.0 * g * cross + cross * cross
     geo = 0.5 * ctx.hbar * float(np.hypot(g, w))
-    rs = rs_bound(a, b, frame_to_state(psi), ctx.tol)
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    rho = frame_to_state(psi).rho
+    rs = _rs(a, b, a @ rho, b @ rho)
     resid = abs(rs * rs - (geo * geo + 0.25 * ctx.hbar**2 * diff))
     scale = max(1.0, rs * rs, geo * geo)
     if resid > ctx.tol.identity * scale:
@@ -162,27 +167,18 @@ def decomposition(a, b, psi: PurificationFrame,
     """
     ctx = ctx or GeometryContext()
     hbar = ctx.hbar
-    a = check_hermitian(np.asarray(a, dtype=complex), ctx.tol, "observable A")
-    b = check_hermitian(np.asarray(b, dtype=complex), ctx.tol, "observable B")
-    state = frame_to_state(psi)
+    t = pair_terms(a, b, psi, ctx)
+    g_ab, w_ab, g_aa, g_bb = t.g_ab, t.w_ab, t.g_aa, t.g_bb
+    cross, sq_a, sq_b = t.pa_pb, t.pa_pa, t.pb_pb
 
-    exp_a, d_a = moments(a, state, ctx.tol)
-    exp_b, d_b = moments(b, state, ctx.tol)
-
-    lift_a = hamiltonian_lift(a, psi, ctx)
-    lift_b = hamiltonian_lift(b, psi, ctx)
-    hor_a, _ = split(psi, lift_a, ctx)
-    hor_b, _ = split(psi, lift_b, ctx)
-    g_ab = ambient_forms(hor_a, hor_b, ctx).g
-    w_ab = ambient_forms(lift_a, lift_b, ctx).w
-    g_aa = ambient_forms(hor_a, hor_a, ctx).g
-    g_bb = ambient_forms(hor_b, hor_b, ctx).g
-
-    _, perp_a = xi_field(a, psi, ctx)
-    _, perp_b = xi_field(b, psi, ctx)
-    cross = inertia_inner(perp_a, perp_b, ctx)
-    sq_a = inertia_inner(perp_a, perp_a, ctx)
-    sq_b = inertia_inner(perp_b, perp_b, ctx)
+    # the trace side of both identities, from rho = psi psi† (pair_terms
+    # has validated the observables)
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    rho = frame_to_state(psi).rho
+    a_rho, b_rho = a @ rho, b @ rho
+    exp_a, d_a = _moments(a, a_rho)
+    exp_b, d_b = _moments(b, b_rho)
 
     quarter = 0.25 * hbar * hbar
     lhs1 = (d_a * d_b) ** 2
@@ -192,7 +188,7 @@ def decomposition(a, b, psi: PurificationFrame,
             f"uncertainty-product identity residual {abs(lhs1 - rhs1):.3e}"
         )
 
-    rs = rs_bound(a, b, state, ctx.tol)
+    rs = _rs(a, b, a_rho, b_rho)
     lhs2 = rs * rs
     rhs2 = quarter * (g_ab**2 + w_ab**2 + 2.0 * g_ab * cross + cross**2)
     if abs(lhs2 - rhs2) > ctx.tol.identity * max(1.0, abs(lhs2), abs(rhs2)):
@@ -280,12 +276,12 @@ def evolve(h, state: DensityState, t: float, steps: int,
     step; residuals are returned per probe. t must be finite and nonzero.
     """
     ctx = ctx or GeometryContext()
-    h = check_hermitian(np.asarray(h, dtype=complex), ctx.tol, "hamiltonian")
+    h = check_observable(h, state.n, ctx.tol, "hamiltonian")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     if not (np.isfinite(t) and t != 0):
         raise ValueError(f"t must be finite and nonzero, got {t}")
-    probes = {name: check_hermitian(np.asarray(mat, dtype=complex), ctx.tol, f"probe {name!r}")
+    probes = {name: check_observable(mat, state.n, ctx.tol, f"probe {name!r}")
               for name, mat in (probes or {}).items()}
 
     hbar = ctx.hbar

@@ -75,6 +75,16 @@ class TestBoundsCommand:
         assert code == 1
         assert "NotHermitian" in capsys.readouterr().err
 
+    def test_wrong_dimension_exits_1(self, workdir, tmp_path, capsys):
+        (tmp_path / "small.json").write_text(dumps(
+            {"Sx": matrix_to_json(build_spin(1.0).sx),
+             "Half": matrix_to_json(build_spin(0.5).sx)}))
+        code = main(["bounds", str(workdir / "state.json"),
+                     str(tmp_path / "small.json"), "--pair", "Sx,Half"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "BadDims" in err and "'Half'" in err
+
     def test_unknown_name_exits_1(self, workdir):
         assert main(["bounds", str(workdir / "state.json"),
                      str(workdir / "obs.json"), "--pair", "Sx,Nope"]) == 1

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qgeo.errors import (
+    BadDims,
     BasepointMismatch,
     NonPositive,
     NotAntiHermitian,
@@ -21,12 +22,13 @@ from qgeo.geometry import (
     inertia_inner,
     momentum_map,
     omega_rank,
+    pair_terms,
     pushforward,
     random_tangent,
     split,
     xi_field,
 )
-from qgeo.linalg import frobenius, sample_haar_unitary, sample_hermitian
+from qgeo.linalg import frobenius, sample_haar_unitary, sample_hermitian, trial_rng
 from qgeo.states import (
     frame_to_state,
     gauge_act,
@@ -35,7 +37,7 @@ from qgeo.states import (
     random_gauge,
     random_gauge_algebra,
 )
-from qgeo.verify import representative_scalars
+from qgeo.verify import _instance_terms, random_instance, representative_scalars
 
 
 class TestAmbientForms:
@@ -276,6 +278,77 @@ class TestBrackets:
             rho = frame_to_state(mixed_frame).rho
             direct = float(np.real(np.trace((a @ b - b @ a) @ rho) / 2j))
             assert 0.5 * ctx.hbar * w == pytest.approx(direct, abs=1e-9)
+
+
+class TestPairTerms:
+    def test_matches_ambient_oracle(self):
+        # 240 random instances against the lift/split/connection pipeline and
+        # the conjugated-representative recomputation; differences are
+        # relative to max(1, |oracle value|)
+        seen = {"rank_deficient": 0, "degenerate_multi_block": 0,
+                "full_rank_single_block": 0}
+        worst = 0.0
+        for trial in range(240):
+            rng = trial_rng(2024, trial)
+            hbar = 1.0 if trial % 2 == 0 else 0.32
+            ctx = GeometryContext(hbar=hbar)
+            frame, a, b = random_instance(rng, 8)
+            sigma = frame.sigma
+            seen["rank_deficient"] += sigma.k < frame.n
+            seen["degenerate_multi_block"] += sigma.l > 1 and max(sigma.mults) > 1
+            seen["full_rank_single_block"] += sigma.k == frame.n and sigma.l == 1
+
+            t = pair_terms(a, b, frame, ctx)
+            ref = _instance_terms(a, b, frame, ctx)
+            root = np.sqrt(2.0 / hbar)  # chi . xi_A = sqrt(2/hbar) <A>
+            got = {"g_ab": t.g_ab, "w_ab": t.w_ab, "g_aa": t.g_aa, "g_bb": t.g_bb,
+                   "pa_pb": t.pa_pb, "pa_pa": t.pa_pa, "pb_pb": t.pb_pb,
+                   "chi_a": root * t.exp_a, "chi_b": root * t.exp_b,
+                   "xa_xb": t.pa_pb + root * root * t.exp_a * t.exp_b}
+            u = sample_haar_unitary(sigma.k, rng)
+            tilde = representative_scalars(a, b, frame, u, hbar)
+            for oracle in (ref, tilde):
+                for key, value in oracle.items():
+                    if key in got:
+                        worst = max(worst, abs(got[key] - value) / max(1.0, abs(value)))
+            rho = frame_to_state(frame).rho
+            for exp, second, obs in ((t.exp_a, t.second_a, a), (t.exp_b, t.second_b, b)):
+                worst = max(worst, abs(exp - np.trace(obs @ rho).real) / max(1.0, abs(exp)),
+                            abs(second - np.trace(obs @ obs @ rho).real) / max(1.0, second))
+        assert all(count > 0 for count in seen.values()), seen
+        assert worst <= 1e-12
+
+    def test_exact_symmetries(self, mixed_frame, ctx, rng):
+        a = sample_hermitian(5, rng)
+        b = sample_hermitian(5, rng)
+        ab = pair_terms(a, b, mixed_frame, ctx)
+        ba = pair_terms(b, a, mixed_frame, ctx)
+        assert ab.g_ab == ba.g_ab
+        assert ab.w_ab == -ba.w_ab
+        assert pair_terms(a, a, mixed_frame, ctx).w_ab == 0.0
+
+    def test_pure_state_has_no_perp(self, rng, ctx):
+        frame = random_frame(make_spectrum((1.0,)), 4, rng)
+        t = pair_terms(sample_hermitian(4, rng), sample_hermitian(4, rng), frame, ctx)
+        # M_A is the 1 x 1 matrix <A>: only round-off of its imaginary part is left
+        assert max(abs(t.pa_pa), abs(t.pb_pb), abs(t.pa_pb)) <= 1e-28
+
+    def test_wrong_dimension_is_bad_dims(self, mixed_frame, ctx, rng):
+        small = sample_hermitian(3, rng)
+        good = sample_hermitian(5, rng)
+        with pytest.raises(BadDims, match="observable A"):
+            pair_terms(small, good, mixed_frame, ctx)
+        with pytest.raises(BadDims, match="observable B"):
+            brackets(good, small, mixed_frame, ctx)
+
+    def test_rejects_non_hermitian(self, mixed_frame, ctx):
+        with pytest.raises(NotHermitian):
+            pair_terms(1j * np.eye(5), np.eye(5), mixed_frame, ctx)
+
+    def test_context_spectrum_enforced(self, mixed_frame, rng):
+        ctx = GeometryContext(sigma=make_spectrum((0.6, 0.4)))
+        with pytest.raises(SpectrumMismatch):
+            pair_terms(np.eye(5), np.eye(5), mixed_frame, ctx)
 
 
 class TestPushforward:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from qgeo.errors import NotHermitian, SpectrumDrift
-from qgeo.geometry import GeometryContext, brackets
+import qgeo.linalg
+from qgeo.errors import BadDims, IdentityViolation, NotHermitian, SpectrumDrift
+from qgeo.geometry import GeometryContext, ambient_forms, brackets, hamiltonian_lift
 from qgeo.linalg import sample_hermitian
 from qgeo.spin import build_ensemble, build_spin
 from qgeo.states import (
@@ -190,6 +191,72 @@ class TestDecomposition:
             assert product >= report.rs_bound - slack
             assert product >= report.combined_bound - slack
 
+    def test_validates_each_observable_once(self, mixed_frame, ctx, rng, monkeypatch):
+        calls = []
+        check = qgeo.linalg.check_hermitian
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("name", args[2] if len(args) > 2 else None))
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(qgeo.linalg, "check_hermitian", counting)
+        a = sample_hermitian(5, rng)
+        b = sample_hermitian(5, rng)
+        decomposition(a, b, mixed_frame, ctx)
+        assert len(calls) == 2
+        decomposition(a, a, mixed_frame, ctx)
+        assert len(calls) == 4
+
+    def test_identity_checks_use_the_trace_side(self, demo, ctx, monkeypatch):
+        # a kernel that disagrees with the traces against rho must be caught
+        import qgeo.uncertainty
+
+        spin, _, frame = demo
+        true = qgeo.uncertainty.pair_terms
+
+        def skewed(*args, **kwargs):
+            return true(*args, **kwargs)._replace(g_aa=5.0)
+
+        monkeypatch.setattr(qgeo.uncertainty, "pair_terms", skewed)
+        with pytest.raises(IdentityViolation, match="uncertainty-product"):
+            decomposition(spin.sx, spin.sy, frame, ctx)
+
+
+class TestDimensionErrors:
+    """A wrong-size observable is BadDims everywhere, not a numpy error."""
+
+    def test_decomposition(self, mixed_frame, ctx, rng):
+        with pytest.raises(BadDims, match="observable B"):
+            decomposition(sample_hermitian(5, rng), np.eye(3), mixed_frame, ctx)
+
+    def test_bounds(self, mixed_frame, ctx, rng):
+        with pytest.raises(BadDims):
+            geometric_bound(np.eye(3), sample_hermitian(5, rng), mixed_frame, ctx)
+        with pytest.raises(BadDims):
+            combined_bound(np.eye(6), sample_hermitian(5, rng), mixed_frame, ctx)
+
+    def test_moments(self, demo):
+        _, state, _ = demo
+        with pytest.raises(BadDims, match="dimension 3"):
+            moments(np.eye(2), state)
+
+    def test_rs_bound(self, demo):
+        spin, state, _ = demo
+        with pytest.raises(BadDims, match="observable A"):
+            rs_bound(np.eye(2), spin.sx, state)
+        with pytest.raises(BadDims, match="observable B"):
+            rs_bound(spin.sx, np.eye(4), state)
+
+    def test_evolve_hamiltonian(self, demo, ctx):
+        _, state, _ = demo
+        with pytest.raises(BadDims, match="hamiltonian"):
+            evolve(np.eye(2), state, t=0.1, steps=4, ctx=ctx)
+
+    def test_evolve_probe(self, demo, ctx):
+        spin, state, _ = demo
+        with pytest.raises(BadDims, match="probe 'B'"):
+            evolve(spin.sx, state, t=0.1, steps=4, ctx=ctx, probes={"B": np.eye(2)})
+
 
 class TestClassify:
     def test_sx_parallel(self, demo, ctx):
@@ -264,7 +331,8 @@ class TestEvolve:
 
     def test_matches_per_step_geometric_reference(self, mixed_frame, rng):
         # rank-deficient, degenerate spectrum at hbar != 1; every step is
-        # recomputed here with its own eigensolve and the library's bracket
+        # recomputed here with its own eigensolve and the ambient pairing of
+        # the lifts at a fresh purification
         ctx = GeometryContext(hbar=0.32)
         state = frame_to_state(mixed_frame)
         h = sample_hermitian(5, rng)
@@ -288,7 +356,9 @@ class TestEvolve:
         res_ref = np.zeros(steps - 1)
         for j in range(1, steps):
             fd = (exp_ref[j + 1] - exp_ref[j - 1]) / (2.0 * dt)
-            w = brackets(b, h, purify(result.states[j]), ctx).w
+            frame = purify(result.states[j])
+            w = ambient_forms(hamiltonian_lift(b, frame, ctx),
+                              hamiltonian_lift(h, frame, ctx), ctx).w
             assert w != 0.0
             res_ref[j - 1] = abs(fd - w)
         assert np.max(np.abs(result.flow_residuals["B"] - res_ref)) <= 1e-10

@@ -125,6 +125,47 @@ class TestCampaign:
         assert agreement.failed == cfg.fifth and agreement.passed == 0
         assert demo.failed == 1 and demo.passed == 0
 
+    def test_failed_oracle_counts_as_failure(self, monkeypatch):
+        # _instance_terms feeds the identity, collapse, invariance and spin
+        # agreement suites; at scale 1e9 a stand-in residual would pass
+        import qgeo.verify
+        from qgeo.errors import IdentityViolation
+
+        def violating(*args, **kwargs):
+            raise IdentityViolation("oracle failed")
+
+        monkeypatch.setattr(qgeo.verify, "_instance_terms", violating)
+        cfg = RunConfig(seed=7, trials=20, dim_max=4, tol=Tolerances().scaled(1e9))
+        results = summary(run_all(cfg))
+        expected = {name: cfg.trials for name in (
+            "identity_expectation", "identity_product", "identity_covariance",
+            "identity_variance_product", "identity_rs_decomposition", "cauchy_schwarz",
+            "variance_floor", "bound_dominance", "combined_is_max",
+            "omega_from_horizontal")}
+        expected.update({name: cfg.fifth for name in (
+            "pure_state_collapse", "parallel_collapse", "gauge_invariance",
+            "representative_independence", "closed_form_agreement")})
+        for name, trials in expected.items():
+            assert results[name] == {"pass": 0, "fail": trials, "worst_residual": 0.0}, name
+        unaffected = set(results) - set(expected)
+        assert "spin_horizontality" in unaffected
+        assert all(results[name]["fail"] == 0 for name in unaffected)
+
+    def test_exponential_suite_diagonalizes_once_per_trial(self, monkeypatch):
+        import qgeo.verify
+
+        calls = []
+        family = qgeo.verify.unitary_exponential_family
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return family(*args, **kwargs)
+
+        monkeypatch.setattr(qgeo.verify, "unitary_exponential_family", counting)
+        cfg = RunConfig(seed=7, trials=20)
+        res = qgeo.verify.run_exponential_suite(cfg)
+        assert res.passed == cfg.fifth and len(calls) == cfg.fifth
+
     def test_identity_campaign_reports_all_suites(self):
         results = run_identity_campaign(RunConfig(seed=3, trials=10, dim_max=5))
         names = {r.name for r in results}
