@@ -38,7 +38,6 @@ from .geometry import (
     momentum_map,
     omega_rank,
     pair_terms,
-    pushforward,
     random_tangent,
     split,
     xi_field,
@@ -46,9 +45,7 @@ from .geometry import (
 from .linalg import (
     hermitian_eigensystem,
     make_rng,
-    sample_random,
     trial_rng,
-    unitary_exponential,
 )
 from .spin import (
     ClosedForms,

@@ -65,14 +65,8 @@ def _parse_floats(raw: str) -> list[float]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    tol = _tolerances(args)
-    try:
-        cfg = RunConfig(seed=args.seed, trials=args.trials, dim_max=args.dim_max,
-                        hbar=args.hbar, tol=tol)
-        cfg.validate()
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+    cfg = RunConfig(seed=args.seed, trials=args.trials, dim_max=args.dim_max,
+                    hbar=args.hbar, tol=_tolerances(args))
     results = run_all(cfg)
     width = max(len(r.name) for r in results)
     print(f"{'suite':<{width}}  {'pass':>6} {'fail':>6}  worst_residual")
@@ -147,8 +141,6 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 def _cmd_spin_demo(args: argparse.Namespace) -> int:
     tol = _tolerances(args)
     spec = ensemble_spec(args.s, _parse_floats(args.m), _parse_floats(args.p))
-    if args.eps <= 0:
-        raise QGeoError(f"eps must be positive, got {args.eps}")
     ctx = GeometryContext(hbar=args.hbar, tol=tol)
     demo = abcd_experiment(spec, args.eps, ctx)
     print(f"spin demo: s={spec.s}, p={spec.p_list}, m={spec.m_list}, "
@@ -200,8 +192,6 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     probes = {}
     if args.probes_file:
         probes = load_observables(_read_json(args.probes_file, "probes file"))
-    if args.steps < 1:
-        raise QGeoError(f"steps must be >= 1, got {args.steps}")
 
     result = evolve(hamiltonian, state, t=args.t, steps=args.steps,
                     ctx=ctx, probes=probes)

@@ -60,7 +60,6 @@ __all__ = [
     "ambient_tangent",
     "random_tangent",
     "AmbientForms",
-    "BracketValue",
     "PairTerms",
     "chi",
     "ambient_forms",
@@ -72,30 +71,20 @@ __all__ = [
     "xi_field",
     "pair_terms",
     "brackets",
-    "pushforward",
     "omega_rank",
 ]
 
 
 @dataclass(frozen=True)
 class GeometryContext:
-    """hbar, optional pinned spectrum, and the tolerance record.
-
-    When ``sigma`` is set, operations reject inputs carrying a different
-    spectrum; when None, the spectrum is taken from the inputs.
-    """
+    """hbar and the tolerance record; the spectrum comes from the inputs."""
 
     hbar: float = 1.0
-    sigma: Spectrum | None = None
     tol: Tolerances = field(default_factory=default_tolerances)
 
     def __post_init__(self) -> None:
         if not self.hbar > 0:
             raise NonPositive(f"hbar must be positive, got {self.hbar}")
-
-    def check_sigma(self, sigma: Spectrum) -> None:
-        if self.sigma is not None and self.sigma != sigma:
-            raise SpectrumMismatch("input spectrum differs from the context's")
 
 
 @dataclass(frozen=True)
@@ -107,11 +96,6 @@ class AmbientTangent:
 
 
 class AmbientForms(NamedTuple):
-    g: float
-    w: float
-
-
-class BracketValue(NamedTuple):
     g: float
     w: float
 
@@ -225,7 +209,6 @@ def inertia_inner(xi, eta, ctx: GeometryContext | None = None) -> float:
         sigma = eta.sigma
     else:
         raise SpectrumMismatch("at least one argument must be a GaugeElement")
-    ctx.check_sigma(sigma)
     a = _resolve_gauge(xi, sigma)
     b = _resolve_gauge(eta, sigma)
     diag = np.einsum("ij,ij->j", a.conj(), b)
@@ -256,12 +239,9 @@ def connection(psi: PurificationFrame, x, ctx: GeometryContext | None = None) ->
     horizontal ones.
     """
     ctx = ctx or GeometryContext()
-    ctx.check_sigma(psi.sigma)
     xt = _resolve_tangent(psi, x, ctx.tol)
     m = psi.psi.conj().T @ xt.x
-    out = np.zeros_like(m)
-    for b, value in zip(psi.sigma.blocks, psi.sigma.values):
-        out[b, b] = m[b, b] / value
+    out = np.where(psi.sigma.block_mask, m, 0) / psi.sigma.full
     defect = frobenius(out + out.conj().T)
     if defect > ctx.tol.gauge * max(1.0, frobenius(out)):
         raise IdentityViolation(
@@ -332,7 +312,6 @@ def pair_terms(a, b, psi: PurificationFrame,
     Hermitian, and of the frame's dimension (BadDims otherwise).
     """
     ctx = ctx or GeometryContext()
-    ctx.check_sigma(psi.sigma)
     frame = psi.psi
     y_a = check_observable(a, psi.n, ctx.tol, "observable A") @ frame
     y_b = check_observable(b, psi.n, ctx.tol, "observable B") @ frame
@@ -345,8 +324,7 @@ def pair_terms(a, b, psi: PurificationFrame,
     # <q_a, q_b> + <A><B> = Tr(D_A† D_B P^-1) since Tr P = 1
     sigma = psi.sigma
     root = np.sqrt(sigma.full)
-    labels = np.repeat(np.arange(sigma.l), sigma.mults)
-    weight = (labels[:, None] == labels[None, :]) / root[:, None]
+    weight = sigma.block_mask / root[:, None]
     q_a = m_a * weight - np.diag(exp_a * root)
     q_b = m_b * weight - np.diag(exp_b * root)
     qq = float(np.vdot(q_a, q_b).real)
@@ -375,7 +353,7 @@ def pair_terms(a, b, psi: PurificationFrame,
 
 
 def brackets(a, b, psi: PurificationFrame,
-             ctx: GeometryContext | None = None) -> BracketValue:
+             ctx: GeometryContext | None = None) -> AmbientForms:
     """Metric and symplectic brackets of two observables at a state.
 
     The metric bracket pairs the horizontal parts of the lifts (the
@@ -385,19 +363,7 @@ def brackets(a, b, psi: PurificationFrame,
     ``pair_terms``.
     """
     t = pair_terms(a, b, psi, ctx)
-    return BracketValue(t.g_ab, t.w_ab)
-
-
-def pushforward(psi: PurificationFrame, x,
-                ctx: GeometryContext | None = None) -> np.ndarray:
-    """Tangent to the orbit represented at rho: d(pi)(X) = X psi† + psi X†.
-
-    Hermitian and traceless; vanishes exactly on vertical vectors.
-    """
-    ctx = ctx or GeometryContext()
-    xt = _resolve_tangent(psi, x, ctx.tol)
-    out = xt.x @ psi.psi.conj().T + psi.psi @ xt.x.conj().T
-    return 0.5 * (out + out.conj().T)
+    return AmbientForms(t.g_ab, t.w_ab)
 
 
 def omega_rank(psi: PurificationFrame, ctx: GeometryContext | None = None,

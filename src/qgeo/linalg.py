@@ -23,14 +23,12 @@ __all__ = [
     "check_observable",
     "check_anti_hermitian",
     "hermitian_eigensystem",
-    "unitary_exponential",
     "unitary_exponential_family",
     "make_rng",
     "trial_rng",
     "sample_hermitian",
     "sample_haar_unitary",
     "sample_isometry",
-    "sample_random",
 ]
 
 
@@ -108,20 +106,12 @@ def hermitian_eigensystem(m: np.ndarray,
     return values[order], vectors[:, order]
 
 
-def unitary_exponential(x: np.ndarray, t: float = 1.0,
-                        tol: Tolerances | None = None) -> np.ndarray:
-    """exp(t X) for anti-Hermitian X, unitary by construction.
+def unitary_exponential_family(x: np.ndarray, tol: Tolerances | None = None):
+    """One-parameter group t -> exp(t X) for anti-Hermitian X.
 
     Diagonalizes the Hermitian matrix iX once and exponentiates its
-    eigenvalues, so the result is unitary to eigensolver accuracy for any t.
-    """
-    return unitary_exponential_family(x, tol)(t)
-
-
-def unitary_exponential_family(x: np.ndarray, tol: Tolerances | None = None):
-    """One-parameter group t -> exp(t X) sharing a single eigendecomposition.
-
-    Useful when many points of the same flow are needed (trajectories).
+    eigenvalues, so every exp(t X) is unitary to eigensolver accuracy and
+    all points of the flow share one eigendecomposition.
     """
     tol = tol or default_tolerances()
     x = check_anti_hermitian(x, tol, "generator")
@@ -183,19 +173,3 @@ def sample_isometry(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
     if not 1 <= k <= n:
         raise BadDims(f"need 1 <= k <= n, got k={k}, n={n}")
     return sample_haar_unitary(n, rng)[:, :k]
-
-
-def sample_random(kind: str, n: int, k: int | None = None,
-                  rng: np.random.Generator | None = None) -> np.ndarray:
-    """Dispatch sampler: kind in {'hermitian', 'haar_unitary', 'isometry'}."""
-    if rng is None:
-        rng = make_rng(0)
-    if kind == "hermitian":
-        return sample_hermitian(n, rng)
-    if kind == "haar_unitary":
-        return sample_haar_unitary(n, rng)
-    if kind == "isometry":
-        if k is None:
-            raise BadDims("isometry sampling requires k")
-        return sample_isometry(n, k, rng)
-    raise ValueError(f"unknown sample kind {kind!r}")

@@ -90,12 +90,12 @@ class Spectrum:
         edges = np.concatenate(([0], np.cumsum(self.mults))).astype(int)
         return tuple(slice(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]))
 
-    def projector(self, j: int) -> np.ndarray:
-        """Diagonal 0/1 projector onto multiplicity block j."""
-        pi = np.zeros((self.k, self.k), dtype=complex)
-        b = self.blocks[j]
-        pi[b, b] = np.eye(b.stop - b.start)
-        return pi
+    @property
+    def block_mask(self) -> np.ndarray:
+        """k x k bool mask, True where row and column lie in the same
+        multiplicity block: the entries a matrix commuting with P may use."""
+        labels = np.repeat(np.arange(self.l), self.mults)
+        return labels[:, None] == labels[None, :]
 
     def padded(self, n: int) -> np.ndarray:
         """Spectrum as a length-n descending vector, zero-padded."""
@@ -209,16 +209,9 @@ def gauge_element(xi, sigma: Spectrum, tol: Tolerances | None = None) -> GaugeEl
     scale = max(1.0, norm)
     if frobenius(xi + xi.conj().T) > tol.gauge * scale:
         raise NotGauge("gauge algebra element is not anti-Hermitian")
-    if frobenius(xi - _block_diagonal_part(xi, sigma)) > tol.gauge * scale:
+    if frobenius(np.where(sigma.block_mask, 0, xi)) > tol.gauge * scale:
         raise NotGauge("gauge algebra element does not commute with P")
     return GaugeElement(xi, sigma)
-
-
-def _block_diagonal_part(m: np.ndarray, sigma: Spectrum) -> np.ndarray:
-    out = np.zeros_like(m)
-    for b in sigma.blocks:
-        out[b, b] = m[b, b]
-    return out
 
 
 def _fix_column_phases(vectors: np.ndarray) -> np.ndarray:

@@ -104,41 +104,6 @@ def rs_bound(a, b, state: DensityState, tol: Tolerances | None = None) -> float:
     return _rs(a, b, a @ state.rho, b @ state.rho)
 
 
-def geometric_bound(a, b, psi: PurificationFrame,
-                    ctx: GeometryContext | None = None) -> float:
-    """(hbar/2) sqrt(g^2 + w^2) from the orbit brackets."""
-    ctx = ctx or GeometryContext()
-    t = pair_terms(a, b, psi, ctx)
-    return 0.5 * ctx.hbar * float(np.hypot(t.g_ab, t.w_ab))
-
-
-def combined_bound(a, b, psi: PurificationFrame,
-                   ctx: GeometryContext | None = None) -> float:
-    """Pointwise maximum of the geometric and RS bounds, in bracket form.
-
-    Also verifies the decomposition identity
-    rs^2 = geo^2 + (hbar^2/4) (2 g xiAB + xiAB^2) that makes the maximum
-    itself a bracket-level quantity, with rs taken from traces against
-    rho = psi psi†.
-    """
-    ctx = ctx or GeometryContext()
-    t = pair_terms(a, b, psi, ctx)
-    g, w, cross = t.g_ab, t.w_ab, t.pa_pb
-    diff = 2.0 * g * cross + cross * cross
-    geo = 0.5 * ctx.hbar * float(np.hypot(g, w))
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    rho = frame_to_state(psi).rho
-    rs = _rs(a, b, a @ rho, b @ rho)
-    resid = abs(rs * rs - (geo * geo + 0.25 * ctx.hbar**2 * diff))
-    scale = max(1.0, rs * rs, geo * geo)
-    if resid > ctx.tol.identity * scale:
-        raise IdentityViolation(
-            f"bound-difference identity residual {resid:.3e} exceeds budget"
-        )
-    return 0.5 * ctx.hbar * float(np.sqrt(g * g + w * w + max(0.0, diff)))
-
-
 def _winner(geo: float, rs: float, da: float, db: float, tol: Tolerances) -> str:
     window = tol.tie * max(1.0, da * db)
     if geo > rs + window:
@@ -215,6 +180,22 @@ def decomposition(a, b, psi: PurificationFrame,
         xiBperp_sq=sq_b,
         winner=_winner(geo, rs, d_a, d_b, ctx.tol),
     )
+
+
+def geometric_bound(a, b, psi: PurificationFrame,
+                    ctx: GeometryContext | None = None) -> float:
+    """(hbar/2) sqrt(g^2 + w^2) from the orbit brackets: the ``geo_bound``
+    of the self-checked ``decomposition``."""
+    return decomposition(a, b, psi, ctx).geo_bound
+
+
+def combined_bound(a, b, psi: PurificationFrame,
+                   ctx: GeometryContext | None = None) -> float:
+    """Pointwise maximum of the geometric and RS bounds, in bracket form:
+    the ``combined_bound`` of ``decomposition``, whose cross identity
+    rs^2 = geo^2 + (hbar^2/4)(2 g xiAB + xiAB^2) makes the maximum itself a
+    bracket-level quantity."""
+    return decomposition(a, b, psi, ctx).combined_bound
 
 
 def classify(a, psi: PurificationFrame, ctx: GeometryContext | None = None) -> str:

@@ -15,11 +15,12 @@ pointwise maximum of the other two.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .config import Tolerances, default_tolerances
-from .errors import IdentityViolation, QGeoError, SpectrumDrift
+from .errors import QGeoError, SpectrumDrift
 from .geometry import (
     GeometryContext,
     AmbientTangent,
@@ -38,7 +39,7 @@ from .linalg import (
     hermitian_eigensystem,
     sample_haar_unitary,
     sample_hermitian,
-    sample_random,
+    sample_isometry,
     trial_rng,
     unitary_exponential_family,
 )
@@ -114,22 +115,48 @@ class SuiteResult:
     worst_residual: float = 0.0
 
     def add(self, residual: float, limit: float) -> None:
-        self.worst_residual = max(self.worst_residual, float(residual))
+        """Count one checked trial. A NaN residual counts a failure and
+        leaves the worst residual unchanged."""
+        residual = float(residual)
         if residual <= limit:
             self.passed += 1
         else:
             self.failed += 1
-
-    def fail(self, residual: float = float("nan")) -> None:
-        """Count a trial that could not be checked as failed, whatever the
-        limit; a measured residual (not NaN) still updates the worst."""
         if residual > self.worst_residual:
-            self.worst_residual = float(residual)
+            self.worst_residual = residual
+
+    def fail(self) -> None:
+        """Count a trial that could not be checked as failed."""
         self.failed += 1
 
     @property
     def ok(self) -> bool:
         return self.failed == 0
+
+
+Row = tuple[str, float, float]  # (suite name, residual, limit)
+
+
+def _campaign(cfg: RunConfig, suite_id: int, trials: int, names: list[str],
+              rows: Callable[[np.random.Generator, int], list[Row]]) -> list[SuiteResult]:
+    """Run ``trials`` seeded trials feeding the suites in ``names``.
+
+    Trial i draws from trial_rng(seed, suite_id, i); ``rows(rng, i)`` returns
+    its (suite, residual, limit) rows. A QGeoError anywhere in a trial fails
+    that trial in every suite it feeds instead of aborting the run. Rows are
+    added only once the trial has finished, so no trial counts twice.
+    """
+    suites = {name: SuiteResult(name) for name in names}
+    for trial in range(trials):
+        try:
+            out = rows(trial_rng(cfg.seed, suite_id, trial), trial)
+        except QGeoError:
+            for suite in suites.values():
+                suite.fail()
+            continue
+        for name, residual, limit in out:
+            suites[name].add(residual, limit)
+    return list(suites.values())
 
 
 # --- input generators --------------------------------------------------------
@@ -171,9 +198,7 @@ def parallel_observable(a: np.ndarray, frame: PurificationFrame,
     parallel at the projected state.
     """
     m = frame.psi.conj().T @ a @ frame.psi
-    d = np.zeros_like(m)
-    for b in frame.sigma.blocks:
-        d[b, b] = m[b, b]
+    d = np.where(frame.sigma.block_mask, m, 0)
     inv = 1.0 / frame.sigma.full
     corr = frame.psi @ (d * inv[:, None] * inv[None, :]) @ frame.psi.conj().T
     out = a - corr
@@ -192,9 +217,7 @@ def perpendicular_observable(frame: PurificationFrame, rng: np.random.Generator,
 # --- matrix kernel suites ----------------------------------------------------
 
 def run_eigensystem_suite(cfg: RunConfig) -> SuiteResult:
-    res = SuiteResult("eigensystem_roundtrip")
-    for trial in range(cfg.trials):
-        rng = trial_rng(cfg.seed, _EIG, trial)
+    def rows(rng: np.random.Generator, trial: int) -> list[Row]:
         n = int(rng.integers(1, cfg.dim_max + 1))
         m = sample_hermitian(n, rng)
         values, vectors = hermitian_eigensystem(m, cfg.tol)
@@ -203,33 +226,35 @@ def run_eigensystem_suite(cfg: RunConfig) -> SuiteResult:
         resid = frobenius(rebuilt - m) / scale
         resid = max(resid, frobenius(vectors.conj().T @ vectors - np.eye(n)) / scale)
         resid = max(resid, 0.0 if np.all(np.diff(values) <= 1e-15) else 1.0)
-        res.add(resid, cfg.tol.roundtrip)
-    return res
+        return [("eigensystem_roundtrip", resid, cfg.tol.roundtrip)]
+
+    return _campaign(cfg, _EIG, cfg.trials, ["eigensystem_roundtrip"], rows)[0]
 
 
 def run_sampler_determinism_suite(cfg: RunConfig) -> SuiteResult:
-    res = SuiteResult("sampler_determinism")
-    cases = [("hermitian", 5, None), ("haar_unitary", 3, None), ("isometry", 4, 2),
-             ("hermitian", cfg.dim_max, None), ("isometry", cfg.dim_max, cfg.dim_max // 2)]
-    for trial, (kind, n, k) in enumerate(cases):
-        first = sample_random(kind, n, k, trial_rng(cfg.seed, _SAMPLER, trial))
-        second = sample_random(kind, n, k, trial_rng(cfg.seed, _SAMPLER, trial))
-        identical = np.array_equal(first, second)
-        if kind == "isometry":
-            contract = frobenius(first.conj().T @ first - np.eye(k))
-        elif kind == "haar_unitary":
+    cases = [(sample_hermitian, (5,)), (sample_haar_unitary, (3,)), (sample_isometry, (4, 2)),
+             (sample_hermitian, (cfg.dim_max,)),
+             (sample_isometry, (cfg.dim_max, cfg.dim_max // 2))]
+
+    def rows(rng: np.random.Generator, trial: int) -> list[Row]:
+        sampler, dims = cases[trial]
+        first = sampler(*dims, rng)
+        second = sampler(*dims, trial_rng(cfg.seed, _SAMPLER, trial))
+        if sampler is sample_isometry:
+            contract = frobenius(first.conj().T @ first - np.eye(dims[1]))
+        elif sampler is sample_haar_unitary:
             contract = abs(abs(np.linalg.det(first)) - 1.0)
         else:
             contract = frobenius(first - first.conj().T)
-        res.add(0.0 if identical else 1.0, 0.5)
-        res.add(contract, cfg.tol.sampler)
-    return res
+        identical = np.array_equal(first, second)
+        return [("sampler_determinism", 0.0 if identical else 1.0, 0.5),
+                ("sampler_determinism", contract, cfg.tol.sampler)]
+
+    return _campaign(cfg, _SAMPLER, len(cases), ["sampler_determinism"], rows)[0]
 
 
 def run_exponential_suite(cfg: RunConfig) -> SuiteResult:
-    res = SuiteResult("exponential_group_law")
-    for trial in range(cfg.fifth):
-        rng = trial_rng(cfg.seed, _EXP, trial)
+    def rows(rng: np.random.Generator, trial: int) -> list[Row]:
         n = int(rng.integers(1, cfg.dim_max + 1))
         x = 1j * sample_hermitian(n, rng)
         norm = frobenius(x)
@@ -240,16 +265,15 @@ def run_exponential_suite(cfg: RunConfig) -> SuiteResult:
         u = flow(float(t))
         resid = frobenius(flow(float(s + t)) - flow(float(s)) @ u)
         resid = max(resid, frobenius(u.conj().T @ u - np.eye(n)))
-        res.add(resid, cfg.tol.group_law)
-    return res
+        return [("exponential_group_law", resid, cfg.tol.group_law)]
+
+    return _campaign(cfg, _EXP, cfg.fifth, ["exponential_group_law"], rows)[0]
 
 
 # --- state space suites ------------------------------------------------------
 
 def run_fiber_transitivity_suite(cfg: RunConfig) -> SuiteResult:
-    res = SuiteResult("fiber_transitivity")
-    for trial in range(cfg.fifth):
-        rng = trial_rng(cfg.seed, _FIBER, trial)
+    def rows(rng: np.random.Generator, trial: int) -> list[Row]:
         frame, _, _ = random_instance(rng, cfg.dim_max)
         if trial % 2 == 0:
             other = gauge_act(frame, random_gauge(frame.sigma, rng), cfg.tol)
@@ -261,43 +285,43 @@ def run_fiber_transitivity_suite(cfg: RunConfig) -> SuiteResult:
         resid = frobenius(u.conj().T @ u - np.eye(k))
         resid = max(resid, frobenius(u @ p - p @ u))
         resid = max(resid, frobenius(frame.psi @ u - other.psi))
-        res.add(resid, cfg.tol.fiber)
-    return res
+        return [("fiber_transitivity", resid, cfg.tol.fiber)]
+
+    return _campaign(cfg, _FIBER, cfg.fifth, ["fiber_transitivity"], rows)[0]
 
 
 def run_purify_determinism_suite(cfg: RunConfig) -> SuiteResult:
-    res = SuiteResult("purify_determinism")
-    for trial in range(min(cfg.fifth, 50)):
-        rng = trial_rng(cfg.seed, _PURIFY, trial)
+    def rows(rng: np.random.Generator, trial: int) -> list[Row]:
         frame, _, _ = random_instance(rng, cfg.dim_max)
         state = frame_to_state(frame)
         first = purify(state, cfg.tol)
         second = purify(state, cfg.tol)
-        res.add(0.0 if np.array_equal(first.psi, second.psi) else 1.0, 0.5)
-        res.add(frobenius(frame_to_state(first).rho - state.rho), cfg.tol.spec)
-    return res
+        identical = np.array_equal(first.psi, second.psi)
+        return [("purify_determinism", 0.0 if identical else 1.0, 0.5),
+                ("purify_determinism", frobenius(frame_to_state(first).rho - state.rho),
+                 cfg.tol.spec)]
+
+    return _campaign(cfg, _PURIFY, min(cfg.fifth, 50), ["purify_determinism"], rows)[0]
 
 
 def run_partial_trace_suite(cfg: RunConfig) -> SuiteResult:
-    res = SuiteResult("partial_trace_identity")
-    for trial in range(cfg.fifth):
-        rng = trial_rng(cfg.seed, _PTRACE, trial)
+    def rows(rng: np.random.Generator, trial: int) -> list[Row]:
         n = int(rng.integers(2, 7))
         k = int(rng.integers(1, min(n, 4) + 1))
         sigma = random_spectrum(rng, k)
         frame = random_frame(sigma, n, rng)
-        reduced = rank_one_partial_trace(frame)
-        res.add(frobenius(reduced - frame_to_state(frame).rho), cfg.tol.partial_trace)
-    return res
+        resid = frobenius(rank_one_partial_trace(frame) - frame_to_state(frame).rho)
+        return [("partial_trace_identity", resid, cfg.tol.partial_trace)]
+
+    return _campaign(cfg, _PTRACE, cfg.fifth, ["partial_trace_identity"], rows)[0]
 
 
 # --- bundle geometry suites --------------------------------------------------
 
 def run_connection_suite(cfg: RunConfig) -> SuiteResult:
-    res = SuiteResult("connection_contract")
     ctx = GeometryContext(hbar=cfg.hbar, tol=cfg.tol)
-    for trial in range(cfg.trials):
-        rng = trial_rng(cfg.seed, _CONN, trial)
+
+    def rows(rng: np.random.Generator, trial: int) -> list[Row]:
         frame, _, _ = random_instance(rng, cfg.dim_max)
         xi = random_gauge_algebra(frame.sigma, rng)
         vertical = AmbientTangent(frame.psi @ xi.xi, frame)
@@ -310,16 +334,16 @@ def run_connection_suite(cfg: RunConfig) -> SuiteResult:
         hor2, vert2 = split(frame, hor, ctx)
         resid = max(resid, frobenius(hor2.x - hor.x) / max(1.0, frobenius(hor.x)))
         resid = max(resid, frobenius(vert2.x) / max(1.0, frobenius(hor.x)))
-        res.add(resid, cfg.tol.connection)
-    return res
+        return [("connection_contract", resid, cfg.tol.connection)]
+
+    return _campaign(cfg, _CONN, cfg.trials, ["connection_contract"], rows)[0]
 
 
 def run_momentum_fd_suite(cfg: RunConfig) -> SuiteResult:
-    res = SuiteResult("momentum_differential")
     ctx = GeometryContext(hbar=cfg.hbar, tol=cfg.tol)
     h = cfg.tol.fd_step
-    for trial in range(cfg.fifth):
-        rng = trial_rng(cfg.seed, _MOMFD, trial)
+
+    def rows(rng: np.random.Generator, trial: int) -> list[Row]:
         frame, _, _ = random_instance(rng, cfg.dim_max)
         xi = random_gauge_algebra(frame.sigma, rng)
         tangent = random_tangent(frame, rng)
@@ -327,23 +351,24 @@ def run_momentum_fd_suite(cfg: RunConfig) -> SuiteResult:
         minus = momentum_map(frame.psi - h * tangent.x, xi.xi, ctx)
         fd = (plus - minus) / (2.0 * h)
         target = ambient_forms(AmbientTangent(frame.psi @ xi.xi, frame), tangent, ctx).w
-        res.add(abs(fd - target) / max(1.0, abs(target)), cfg.tol.fd)
-    return res
+        return [("momentum_differential", abs(fd - target) / max(1.0, abs(target)), cfg.tol.fd)]
+
+    return _campaign(cfg, _MOMFD, cfg.fifth, ["momentum_differential"], rows)[0]
 
 
 def run_momentum_equivariance_suite(cfg: RunConfig) -> SuiteResult:
-    res = SuiteResult("momentum_equivariance")
     ctx = GeometryContext(hbar=cfg.hbar, tol=cfg.tol)
-    for trial in range(cfg.fifth):
-        rng = trial_rng(cfg.seed, _MOMEQ, trial)
+
+    def rows(rng: np.random.Generator, trial: int) -> list[Row]:
         frame, _, _ = random_instance(rng, cfg.dim_max)
         k = frame.sigma.k
         u = sample_haar_unitary(k, rng)
         xi = 1j * sample_hermitian(k, rng)
         lhs = momentum_map(frame.psi @ u, xi, ctx)
         rhs = momentum_map(frame, u @ xi @ u.conj().T, ctx)
-        res.add(abs(lhs - rhs) / max(1.0, abs(rhs)), cfg.tol.invariance)
-    return res
+        return [("momentum_equivariance", abs(lhs - rhs) / max(1.0, abs(rhs)), cfg.tol.invariance)]
+
+    return _campaign(cfg, _MOMEQ, cfg.fifth, ["momentum_equivariance"], rows)[0]
 
 
 # --- identity and bound campaign ---------------------------------------------
@@ -386,9 +411,11 @@ def run_identity_campaign(cfg: RunConfig) -> list[SuiteResult]:
         "variance_floor", "bound_dominance", "combined_is_max",
         "omega_from_horizontal",
     ]
-    suites = {name: SuiteResult(name) for name in names}
-    for trial in range(cfg.trials):
-        rng = trial_rng(cfg.seed, _IDENT, trial)
+
+    def scaled(lhs: float, rhs: float) -> float:
+        return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
+
+    def rows(rng: np.random.Generator, trial: int) -> list[Row]:
         hbar = 1.0 if trial % 2 == 0 else 0.32
         ctx = GeometryContext(hbar=hbar, tol=cfg.tol)
         frame, a, b = random_instance(rng, cfg.dim_max)
@@ -401,51 +428,13 @@ def run_identity_campaign(cfg: RunConfig) -> list[SuiteResult]:
         com = float(np.real(np.trace((a @ b - b @ a) @ rho) / 2j))
         _, d_a = moments(a, state, cfg.tol)
         _, d_b = moments(b, state, cfg.tol)
-
-        try:
-            t = _instance_terms(a, b, frame, ctx)
-        except QGeoError:
-            # an instance the pipeline cannot evaluate fails every suite it
-            # feeds, not the run
-            for suite in suites.values():
-                suite.fail()
-            continue
+        t = _instance_terms(a, b, frame, ctx)
         half = 0.5 * hbar
         quarter = 0.25 * hbar * hbar
         root = np.sqrt(0.5 * hbar)
-
-        def scaled(lhs: float, rhs: float) -> float:
-            return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
-
-        suites["identity_expectation"].add(
-            max(scaled(exp_a, root * t["chi_a"]), scaled(exp_b, root * t["chi_b"])),
-            cfg.tol.identity)
-        suites["identity_product"].add(
-            max(scaled(sym, half * (t["g_ab"] + t["xa_xb"])),
-                scaled(com, half * t["w_ab"])),
-            cfg.tol.identity)
-        suites["identity_covariance"].add(
-            scaled(sym - exp_a * exp_b, half * (t["g_ab"] + t["pa_pb"])),
-            cfg.tol.identity)
-        suites["identity_variance_product"].add(
-            scaled((d_a * d_b) ** 2,
-                   quarter * (t["g_aa"] * t["g_bb"] + t["g_aa"] * t["pb_pb"]
-                              + t["g_bb"] * t["pa_pa"] + t["pa_pa"] * t["pb_pb"])),
-            cfg.tol.identity)
         cov = sym - exp_a * exp_b
-        suites["identity_rs_decomposition"].add(
-            scaled(cov * cov + com * com,
-                   quarter * (t["g_ab"] ** 2 + t["w_ab"] ** 2
-                              + 2.0 * t["g_ab"] * t["pa_pb"] + t["pa_pb"] ** 2)),
-            cfg.tol.identity)
-
         cs_slack = t["g_aa"] * t["g_bb"] - (t["g_ab"] ** 2 + t["w_hor"] ** 2)
-        suites["cauchy_schwarz"].add(
-            max(0.0, -cs_slack) / max(1.0, t["g_aa"] * t["g_bb"]),
-            cfg.tol.dominance)
         floor_slack = d_a * d_a - half * t["g_aa"]
-        suites["variance_floor"].add(
-            max(0.0, -floor_slack) / max(1.0, d_a * d_a), cfg.tol.dominance)
 
         geo = half * float(np.hypot(t["g_ab"], t["w_ab"]))
         rs = float(np.hypot(cov, com))
@@ -453,39 +442,56 @@ def run_identity_campaign(cfg: RunConfig) -> list[SuiteResult]:
         combined = half * float(np.sqrt(t["g_ab"] ** 2 + t["w_ab"] ** 2 + max(0.0, diff)))
         product = d_a * d_b
         scale = max(1.0, product)
-        dom = max(0.0, geo - product, rs - product, combined - product) / scale
-        suites["bound_dominance"].add(dom, cfg.tol.dominance)
-        suites["combined_is_max"].add(
-            abs(combined - max(geo, rs)) / scale, cfg.tol.dominance)
-        suites["omega_from_horizontal"].add(
-            abs(t["w_ab"] - t["w_hor"]) / max(1.0, abs(t["w_ab"])),
-            cfg.tol.invariance)
-    return list(suites.values())
+        return [
+            ("identity_expectation",
+             max(scaled(exp_a, root * t["chi_a"]), scaled(exp_b, root * t["chi_b"])),
+             cfg.tol.identity),
+            ("identity_product",
+             max(scaled(sym, half * (t["g_ab"] + t["xa_xb"])),
+                 scaled(com, half * t["w_ab"])),
+             cfg.tol.identity),
+            ("identity_covariance",
+             scaled(cov, half * (t["g_ab"] + t["pa_pb"])), cfg.tol.identity),
+            ("identity_variance_product",
+             scaled((d_a * d_b) ** 2,
+                     quarter * (t["g_aa"] * t["g_bb"] + t["g_aa"] * t["pb_pb"]
+                                + t["g_bb"] * t["pa_pa"] + t["pa_pa"] * t["pb_pb"])),
+             cfg.tol.identity),
+            ("identity_rs_decomposition",
+             scaled(cov * cov + com * com,
+                     quarter * (t["g_ab"] ** 2 + t["w_ab"] ** 2
+                                + 2.0 * t["g_ab"] * t["pa_pb"] + t["pa_pb"] ** 2)),
+             cfg.tol.identity),
+            ("cauchy_schwarz",
+             max(0.0, -cs_slack) / max(1.0, t["g_aa"] * t["g_bb"]), cfg.tol.dominance),
+            ("variance_floor",
+             max(0.0, -floor_slack) / max(1.0, d_a * d_a), cfg.tol.dominance),
+            ("bound_dominance",
+             max(0.0, geo - product, rs - product, combined - product) / scale,
+             cfg.tol.dominance),
+            ("combined_is_max", abs(combined - max(geo, rs)) / scale, cfg.tol.dominance),
+            ("omega_from_horizontal",
+             abs(t["w_ab"] - t["w_hor"]) / max(1.0, abs(t["w_ab"])), cfg.tol.invariance),
+        ]
+
+    return _campaign(cfg, _IDENT, cfg.trials, names, rows)
 
 
 def run_pure_collapse_suite(cfg: RunConfig) -> SuiteResult:
-    res = SuiteResult("pure_state_collapse")
-    for trial in range(cfg.fifth):
-        rng = trial_rng(cfg.seed, _PURE, trial)
+    def rows(rng: np.random.Generator, trial: int) -> list[Row]:
         hbar = 1.0 if trial % 2 == 0 else 0.32
         ctx = GeometryContext(hbar=hbar, tol=cfg.tol)
         frame, a, b = random_instance(rng, cfg.dim_max, k=1)
-        state = frame_to_state(frame)
-        try:
-            t = _instance_terms(a, b, frame, ctx)
-        except QGeoError:
-            res.fail()
-            continue
+        t = _instance_terms(a, b, frame, ctx)
         geo = 0.5 * hbar * float(np.hypot(t["g_ab"], t["w_ab"]))
-        rs = rs_bound(a, b, state, cfg.tol)
-        res.add(abs(geo - rs) / max(1.0, rs), cfg.tol.invariance)
-    return res
+        rs = rs_bound(a, b, frame_to_state(frame), cfg.tol)
+        return [("pure_state_collapse", abs(geo - rs) / max(1.0, rs), cfg.tol.invariance)]
+
+    return _campaign(cfg, _PURE, cfg.fifth, ["pure_state_collapse"], rows)[0]
 
 
 def run_parallel_collapse_suite(cfg: RunConfig) -> SuiteResult:
-    res = SuiteResult("parallel_collapse")
-    for trial in range(cfg.fifth):
-        rng = trial_rng(cfg.seed, _PARALLEL, trial)
+    def rows(rng: np.random.Generator, trial: int) -> list[Row]:
         hbar = 1.0 if trial % 2 == 0 else 0.32
         ctx = GeometryContext(hbar=hbar, tol=cfg.tol)
         frame, a, b = random_instance(rng, cfg.dim_max)
@@ -494,46 +500,38 @@ def run_parallel_collapse_suite(cfg: RunConfig) -> SuiteResult:
             # parallel observables exist there
             frame, a, b = random_instance(rng, cfg.dim_max)
         par = parallel_observable(a, frame, ctx)
-        try:
-            resid = 0.0 if classify(par, frame, ctx) == "parallel" else 1.0
-            t = _instance_terms(par, b, frame, ctx)
-        except QGeoError:
-            res.fail()
-            continue
-        state = frame_to_state(frame)
+        resid = 0.0 if classify(par, frame, ctx) == "parallel" else 1.0
+        t = _instance_terms(par, b, frame, ctx)
         geo = 0.5 * hbar * float(np.hypot(t["g_ab"], t["w_ab"]))
-        rs = rs_bound(par, b, state, cfg.tol)
+        rs = rs_bound(par, b, frame_to_state(frame), cfg.tol)
         resid = max(resid, abs(geo - rs) / max(1.0, rs))
-        res.add(resid, cfg.tol.invariance)
-    return res
+        return [("parallel_collapse", resid, cfg.tol.invariance)]
+
+    return _campaign(cfg, _PARALLEL, cfg.fifth, ["parallel_collapse"], rows)[0]
 
 
 # --- invariance suites -------------------------------------------------------
 
 def run_gauge_invariance_suite(cfg: RunConfig) -> SuiteResult:
-    res = SuiteResult("gauge_invariance")
     ctx = GeometryContext(hbar=cfg.hbar, tol=cfg.tol)
-    for trial in range(cfg.fifth):
-        rng = trial_rng(cfg.seed, _GAUGE, trial)
+
+    def rows(rng: np.random.Generator, trial: int) -> list[Row]:
         frame, a, b = random_instance(rng, cfg.dim_max)
         u = random_gauge(frame.sigma, rng)
         moved = gauge_act(frame, u, cfg.tol)
-        try:
-            t0 = _instance_terms(a, b, frame, ctx)
-            t1 = _instance_terms(a, b, moved, ctx)
-            xi0, _ = xi_field(a, frame, ctx)
-            xi1, _ = xi_field(a, moved, ctx)
-        except QGeoError:
-            res.fail()
-            continue
+        t0 = _instance_terms(a, b, frame, ctx)
+        t1 = _instance_terms(a, b, moved, ctx)
+        xi0, _ = xi_field(a, frame, ctx)
+        xi1, _ = xi_field(a, moved, ctx)
         resid = max(
             abs(t0[key] - t1[key]) / max(1.0, abs(t0[key]))
             for key in ("g_ab", "w_ab", "xa_xb", "pa_pb", "chi_a")
         )
         conj = u.conj().T @ xi0.xi @ u
         resid = max(resid, frobenius(xi1.xi - conj) / max(1.0, frobenius(conj)))
-        res.add(resid, cfg.tol.invariance)
-    return res
+        return [("gauge_invariance", resid, cfg.tol.invariance)]
+
+    return _campaign(cfg, _GAUGE, cfg.fifth, ["gauge_invariance"], rows)[0]
 
 
 def representative_scalars(a: np.ndarray, b: np.ndarray, frame: PurificationFrame,
@@ -577,45 +575,39 @@ def representative_scalars(a: np.ndarray, b: np.ndarray, frame: PurificationFram
 
 
 def run_representative_suite(cfg: RunConfig) -> SuiteResult:
-    res = SuiteResult("representative_independence")
     ctx = GeometryContext(hbar=cfg.hbar, tol=cfg.tol)
-    for trial in range(cfg.fifth):
-        rng = trial_rng(cfg.seed, _REPR, trial)
+
+    def rows(rng: np.random.Generator, trial: int) -> list[Row]:
         frame, a, b = random_instance(rng, cfg.dim_max)
         u = sample_haar_unitary(frame.sigma.k, rng)
-        try:
-            t0 = _instance_terms(a, b, frame, ctx)
-        except QGeoError:
-            res.fail()
-            continue
+        t0 = _instance_terms(a, b, frame, ctx)
         t1 = representative_scalars(a, b, frame, u, ctx.hbar)
         resid = max(abs(t0[key] - t1[key]) / max(1.0, abs(t0[key])) for key in t1)
-        res.add(resid, cfg.tol.invariance)
-    return res
+        return [("representative_independence", resid, cfg.tol.invariance)]
+
+    return _campaign(cfg, _REPR, cfg.fifth, ["representative_independence"], rows)[0]
 
 
 # --- evolution suite ---------------------------------------------------------
 
 def run_evolution_suites(cfg: RunConfig) -> list[SuiteResult]:
-    drift = SuiteResult("evolution_spectrum_drift")
-    flow = SuiteResult("evolution_flow_derivative")
+    drift, flow = "evolution_spectrum_drift", "evolution_flow_derivative"
     ctx = GeometryContext(hbar=cfg.hbar, tol=cfg.tol)
-    for trial in range(cfg.twentieth):
-        rng = trial_rng(cfg.seed, _EVOLVE, trial)
+
+    def rows(rng: np.random.Generator, trial: int) -> list[Row]:
         frame, h, b = random_instance(rng, cfg.dim_max)
         h = h / max(1.0, frobenius(h))
         b = b / max(1.0, frobenius(b))
-        state = frame_to_state(frame)
         try:
-            result = evolve(h, state, t=0.1, steps=100, ctx=ctx, probes={"B": b})
+            result = evolve(h, frame_to_state(frame), t=0.1, steps=100, ctx=ctx,
+                            probes={"B": b})
         except SpectrumDrift as exc:
-            # a trajectory that leaves its orbit fails both suites, not the run
-            drift.fail(exc.drift)
-            flow.fail()
-            continue
-        drift.add(result.max_drift, cfg.tol.spec)
-        flow.add(result.max_flow_residual, cfg.tol.flow)
-    return [drift, flow]
+            # the flow was never checked: a NaN residual counts as its failure
+            return [(drift, exc.drift, cfg.tol.spec), (flow, float("nan"), cfg.tol.flow)]
+        return [(drift, result.max_drift, cfg.tol.spec),
+                (flow, result.max_flow_residual, cfg.tol.flow)]
+
+    return _campaign(cfg, _EVOLVE, cfg.twentieth, [drift, flow], rows)
 
 
 # --- spin suites -------------------------------------------------------------
@@ -629,51 +621,48 @@ def _random_ensemble(rng: np.random.Generator):
     gaps = rng.uniform(0.2, 1.0, size=k)
     raw = np.cumsum(gaps)[::-1].copy()
     p_list = raw / float(np.sum(raw))
-    return ensemble_spec(s, m_list, p_list)
+    spec = ensemble_spec(s, m_list, p_list)
+    return (spec, *build_ensemble(spec))
 
 
 def run_spin_suites(cfg: RunConfig) -> list[SuiteResult]:
-    agreement = SuiteResult("closed_form_agreement")
-    horizontality = SuiteResult("spin_horizontality")
+    # two passes over the same _SPIN trials: a failed agreement check still
+    # leaves that ensemble's horizontality checked
+    agreement, horizontality = "closed_form_agreement", "spin_horizontality"
     ctx = GeometryContext(hbar=cfg.hbar, tol=cfg.tol)
-    for trial in range(cfg.fifth):
-        rng = trial_rng(cfg.seed, _SPIN, trial)
-        spec = _random_ensemble(rng)
-        spin = build_spin(spec.s, cfg.hbar)
-        state, frame = build_ensemble(spec)
-        # a failed internal cross-check or oracle is a suite failure, not a crash
-        try:
-            forms = closed_forms(spec, ctx)
-            _, perp = xi_field(spin.sz, frame, ctx)
-            machine = {
-                "sxsy_omega": _instance_terms(spin.sx, spin.sy, frame, ctx)["w_ab"],
-                "sxsx_g": _instance_terms(spin.sx, spin.sx, frame, ctx)["g_ab"],
-                "xi_sz_perp_sq": inertia_inner(perp, perp, ctx),
-                "sz_exp": moments(spin.sz, state, cfg.tol)[0],
-            }
-        except QGeoError:
-            agreement.fail()
-        else:
-            agreement.add(max(abs(machine[name] - getattr(forms, name))
-                              / max(1.0, abs(getattr(forms, name))) for name in machine),
-                          cfg.tol.invariance)
 
-        try:
-            lift_x = hamiltonian_lift(spin.sx, frame, ctx)
-            lift_y = hamiltonian_lift(spin.sy, frame, ctx)
-            lift_z = hamiltonian_lift(spin.sz, frame, ctx)
-            resid_h = max(
-                frobenius(connection(frame, lift_x, ctx).xi) / max(1.0, frobenius(lift_x.x)),
-                frobenius(connection(frame, lift_y, ctx).xi) / max(1.0, frobenius(lift_y.x)),
-            )
-            xi_z, _ = xi_field(spin.sz, frame, ctx)
-        except QGeoError:
-            horizontality.fail()
-            continue
-        resid_h = max(resid_h, frobenius(lift_z.x - frame.psi @ xi_z.xi)
-                      / max(1.0, frobenius(lift_z.x)))
-        horizontality.add(resid_h, cfg.tol.connection)
-    return [agreement, horizontality]
+    def agreement_rows(rng: np.random.Generator, trial: int) -> list[Row]:
+        spec, state, frame = _random_ensemble(rng)
+        spin = build_spin(spec.s, cfg.hbar)
+        forms = closed_forms(spec, ctx)
+        _, perp = xi_field(spin.sz, frame, ctx)
+        machine = {
+            "sxsy_omega": _instance_terms(spin.sx, spin.sy, frame, ctx)["w_ab"],
+            "sxsx_g": _instance_terms(spin.sx, spin.sx, frame, ctx)["g_ab"],
+            "xi_sz_perp_sq": inertia_inner(perp, perp, ctx),
+            "sz_exp": moments(spin.sz, state, cfg.tol)[0],
+        }
+        resid = max(abs(value - getattr(forms, key)) / max(1.0, abs(getattr(forms, key)))
+                    for key, value in machine.items())
+        return [(agreement, resid, cfg.tol.invariance)]
+
+    def horizontality_rows(rng: np.random.Generator, trial: int) -> list[Row]:
+        spec, _, frame = _random_ensemble(rng)
+        spin = build_spin(spec.s, cfg.hbar)
+        lift_x = hamiltonian_lift(spin.sx, frame, ctx)
+        lift_y = hamiltonian_lift(spin.sy, frame, ctx)
+        lift_z = hamiltonian_lift(spin.sz, frame, ctx)
+        resid = max(
+            frobenius(connection(frame, lift_x, ctx).xi) / max(1.0, frobenius(lift_x.x)),
+            frobenius(connection(frame, lift_y, ctx).xi) / max(1.0, frobenius(lift_y.x)),
+        )
+        xi_z, _ = xi_field(spin.sz, frame, ctx)
+        resid = max(resid, frobenius(lift_z.x - frame.psi @ xi_z.xi)
+                    / max(1.0, frobenius(lift_z.x)))
+        return [(horizontality, resid, cfg.tol.connection)]
+
+    return (_campaign(cfg, _SPIN, cfg.fifth, [agreement], agreement_rows)
+            + _campaign(cfg, _SPIN, cfg.fifth, [horizontality], horizontality_rows))
 
 
 def run_spin_demo_suite(cfg: RunConfig) -> SuiteResult:
@@ -683,7 +672,7 @@ def run_spin_demo_suite(cfg: RunConfig) -> SuiteResult:
     spec = ensemble_spec(1.0, (1.0, 0.0), (0.7, 0.3))
     try:
         demo = abcd_experiment(spec, 0.25, ctx)
-    except IdentityViolation:
+    except QGeoError:
         res.fail()
         return res
     targets = [

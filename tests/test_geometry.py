@@ -23,7 +23,6 @@ from qgeo.geometry import (
     momentum_map,
     omega_rank,
     pair_terms,
-    pushforward,
     random_tangent,
     split,
     xi_field,
@@ -344,30 +343,6 @@ class TestPairTerms:
     def test_rejects_non_hermitian(self, mixed_frame, ctx):
         with pytest.raises(NotHermitian):
             pair_terms(1j * np.eye(5), np.eye(5), mixed_frame, ctx)
-
-    def test_context_spectrum_enforced(self, mixed_frame, rng):
-        ctx = GeometryContext(sigma=make_spectrum((0.6, 0.4)))
-        with pytest.raises(SpectrumMismatch):
-            pair_terms(np.eye(5), np.eye(5), mixed_frame, ctx)
-
-
-class TestPushforward:
-    def test_vertical_maps_to_zero(self, mixed_frame, ctx, rng):
-        xi = random_gauge_algebra(mixed_frame.sigma, rng)
-        vertical = AmbientTangent(mixed_frame.psi @ xi.xi, mixed_frame)
-        assert frobenius(pushforward(mixed_frame, vertical, ctx)) <= 1e-10
-
-    def test_lift_maps_to_commutator(self, mixed_frame, ctx, rng):
-        a = sample_hermitian(5, rng)
-        lift = hamiltonian_lift(a, mixed_frame, ctx)
-        out = pushforward(mixed_frame, lift, ctx)
-        rho = frame_to_state(mixed_frame).rho
-        expected = (a @ rho - rho @ a) / (1j * ctx.hbar)
-        assert frobenius(out - expected) <= 1e-10
-
-    def test_traceless(self, mixed_frame, ctx, rng):
-        x = random_tangent(mixed_frame, rng)
-        assert abs(np.trace(pushforward(mixed_frame, x, ctx))) <= 1e-10
 
 
 class TestGaugeInvariance:

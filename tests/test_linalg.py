@@ -11,9 +11,8 @@ from qgeo.linalg import (
     sample_haar_unitary,
     sample_hermitian,
     sample_isometry,
-    sample_random,
     trial_rng,
-    unitary_exponential,
+    unitary_exponential_family,
 )
 
 
@@ -43,7 +42,7 @@ class TestEigensystem:
 
     def test_degenerate_spectrum(self):
         rng = make_rng(3)
-        u = sample_random("haar_unitary", 4, rng=rng)
+        u = sample_haar_unitary(4, rng)
         m = u @ np.diag([2.0, 2.0, 1.0, 1.0]) @ u.conj().T
         values, vectors = hermitian_eigensystem(m)
         assert np.allclose(values, [2, 2, 1, 1], atol=1e-12)
@@ -86,21 +85,21 @@ class TestEigensystem:
 
 class TestUnitaryExponential:
     def test_zero_generator(self):
-        assert np.allclose(unitary_exponential(np.zeros((2, 2)), 1.0), np.eye(2))
+        assert np.allclose(unitary_exponential_family(np.zeros((2, 2)))(1.0), np.eye(2))
 
     def test_scalar_phase(self):
-        u = unitary_exponential(np.array([[1j]]), np.pi)
+        u = unitary_exponential_family(np.array([[1j]]))(np.pi)
         assert np.allclose(u, [[-1.0]], atol=1e-12)
 
     def test_2x2_rotation(self):
         x = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
-        u = unitary_exponential(x, np.pi / 2)
+        u = unitary_exponential_family(x)(np.pi / 2)
         assert np.allclose(u, [[0.0, 1.0], [-1.0, 0.0]], atol=1e-12)
         assert frobenius(u.conj().T @ u - np.eye(2)) < 1e-12
 
     def test_rejects_non_anti_hermitian(self):
         with pytest.raises(NotAntiHermitian):
-            unitary_exponential(np.eye(2), 1.0)
+            unitary_exponential_family(np.eye(2))
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000), s=st.floats(-1, 1), t=st.floats(-1, 1))
@@ -111,27 +110,28 @@ class TestUnitaryExponential:
         norm = frobenius(x)
         if norm > 1.0:
             x = x / norm
-        lhs = unitary_exponential(x, s + t)
-        rhs = unitary_exponential(x, s) @ unitary_exponential(x, t)
+        flow = unitary_exponential_family(x)
+        lhs = flow(s + t)
+        rhs = flow(s) @ flow(t)
         assert frobenius(lhs - rhs) <= 1e-9
 
 
 class TestSamplers:
     def test_isometry_contract(self):
-        v = sample_random("isometry", 4, 2, make_rng(7))
+        v = sample_isometry(4, 2, make_rng(7))
         assert frobenius(v.conj().T @ v - np.eye(2)) <= 1e-12
 
     def test_haar_unitary_determinant(self):
-        u = sample_random("haar_unitary", 3, rng=make_rng(5))
+        u = sample_haar_unitary(3, make_rng(5))
         assert abs(abs(np.linalg.det(u)) - 1.0) <= 1e-12
 
     def test_hermitian_is_selfadjoint(self):
-        m = sample_random("hermitian", 5, rng=make_rng(9))
+        m = sample_hermitian(5, make_rng(9))
         assert frobenius(m - m.conj().T) <= 1e-14
 
     def test_determinism(self):
-        a = sample_random("hermitian", 6, rng=make_rng(42))
-        b = sample_random("hermitian", 6, rng=make_rng(42))
+        a = sample_hermitian(6, make_rng(42))
+        b = sample_hermitian(6, make_rng(42))
         assert np.array_equal(a, b)
 
     def test_trial_rng_paths_differ(self):
@@ -145,6 +145,4 @@ class TestSamplers:
         with pytest.raises(BadDims):
             sample_isometry(2, 3, make_rng(0))
         with pytest.raises(BadDims):
-            sample_random("hermitian", 0, rng=make_rng(0))
-        with pytest.raises(ValueError):
-            sample_random("bogus", 3, rng=make_rng(0))
+            sample_hermitian(0, make_rng(0))

@@ -37,14 +37,23 @@ class TestSpectrum:
     def test_two_level(self):
         sigma = make_spectrum((0.7, 0.3), (1, 1))
         assert sigma.k == 2
-        assert np.allclose(sigma.projector(0), np.diag([1, 0]))
-        assert np.allclose(sigma.projector(1), np.diag([0, 1]))
+        assert np.array_equal(sigma.block_mask, np.eye(2, dtype=bool))
 
     def test_degenerate_block(self):
         sigma = make_spectrum((0.4, 0.2), (1, 3))
         assert sigma.k == 4
         assert np.allclose(sigma.full, [0.4, 0.2, 0.2, 0.2])
-        assert int(np.trace(sigma.projector(1)).real) == 3
+        assert np.array_equal(sigma.block_mask[1:, 1:], np.ones((3, 3), dtype=bool))
+        assert not sigma.block_mask[0, 1:].any() and not sigma.block_mask[1:, 0].any()
+        # three blocks: the mask is exactly where a P-commuting matrix may live
+        sigma = make_spectrum((0.3, 0.1, 0.05), (2, 3, 2))
+        expected = np.zeros((7, 7), dtype=bool)
+        for blk in sigma.blocks:
+            expected[blk, blk] = True
+        assert np.array_equal(sigma.block_mask, expected)
+        p = sigma.p_matrix
+        commuting = np.where(sigma.block_mask, np.arange(49.0).reshape(7, 7), 0)
+        assert np.allclose(commuting @ p, p @ commuting)
 
     def test_mults_default_to_ones(self):
         sigma = make_spectrum((0.7, 0.3))

@@ -36,8 +36,16 @@ class TestSuiteResult:
         res = SuiteResult("demo")
         res.fail()
         assert res.failed == 1 and res.worst_residual == 0.0
-        res.fail(0.5)
-        assert res.failed == 2 and res.worst_residual == 0.5
+        res.add(0.5, 1.0)
+        res.fail()
+        assert res.failed == 2 and res.passed == 1 and res.worst_residual == 0.5
+
+    def test_nan_residual_fails_and_keeps_worst(self):
+        res = SuiteResult("demo")
+        res.add(0.25, 1.0)
+        res.add(float("nan"), 1.0)
+        assert res.passed == 1 and res.failed == 1
+        assert res.worst_residual == 0.25
 
 
 class TestGenerators:
@@ -151,6 +159,32 @@ class TestCampaign:
         assert "spin_horizontality" in unaffected
         assert all(results[name]["fail"] == 0 for name in unaffected)
 
+    def test_failing_trials_do_not_abort_the_campaign(self):
+        # at 1e-3 x the tolerances the oracle's own self-checks raise; every
+        # such trial is a failure of its suites and all 28 suites report
+        cfg = RunConfig(seed=42, trials=200, tol=Tolerances().scaled(1e-3))
+        results = run_all(cfg)
+        assert len(results) == 28
+        assert not all(r.ok for r in results)
+
+    def test_failed_gauge_action_fails_only_its_trials(self, monkeypatch):
+        import qgeo.verify
+        from qgeo.errors import NotGauge
+
+        def not_gauge(*args, **kwargs):
+            raise NotGauge("U is not unitary within tolerance")
+
+        monkeypatch.setattr(qgeo.verify, "gauge_act", not_gauge)
+        cfg = RunConfig(seed=7, trials=20, dim_max=4)
+        results = summary(run_all(cfg))
+        # fiber_transitivity acts by a gauge element on its even trials only
+        assert results["fiber_transitivity"]["fail"] == 2
+        assert results["fiber_transitivity"]["pass"] == 2
+        assert results["gauge_invariance"] == {"pass": 0, "fail": cfg.fifth,
+                                               "worst_residual": 0.0}
+        others = set(results) - {"fiber_transitivity", "gauge_invariance"}
+        assert all(results[name]["fail"] == 0 for name in others)
+
     def test_exponential_suite_diagonalizes_once_per_trial(self, monkeypatch):
         import qgeo.verify
 
@@ -181,6 +215,14 @@ class TestVerifyExitCodes:
         monkeypatch.setattr(qgeo.cli, "run_all", lambda cfg: [failing])
         assert qgeo.cli.main(["verify", "--trials", "5"]) == 2
         assert "FAILURES" in capsys.readouterr().out
+
+    def test_failing_trials_exit_2_with_the_table(self, capsys):
+        # at 1e-5 x the tolerances gauge_act rejects the sampled gauge
+        # elements; that is a verification failure, not bad input
+        assert qgeo.cli.main(["verify", "--trials", "200", "--tol-scale", "1e-5"]) == 2
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == 30  # header, 28 suites, verdict
+        assert "gauge_invariance" in out and "FAILURES" in out
 
     def test_env_scale_applies(self, monkeypatch):
         from qgeo.config import default_tolerances
