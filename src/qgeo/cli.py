@@ -64,14 +64,24 @@ def _parse_floats(raw: str) -> list[float]:
     return [float(x) for x in raw.split(",") if x.strip() != ""]
 
 
+def _failure_cause(result) -> str:
+    """The first failure as ``cause@trial`` (``residual`` for a residual over
+    its limit, else the exception class), or ``-`` for a passing suite."""
+    if result.first_failure is None:
+        return "-"
+    cause, trial = result.first_failure
+    return cause if trial is None else f"{cause}@{trial}"
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     cfg = RunConfig(seed=args.seed, trials=args.trials, dim_max=args.dim_max,
                     hbar=args.hbar, tol=_tolerances(args))
     results = run_all(cfg)
     width = max(len(r.name) for r in results)
-    print(f"{'suite':<{width}}  {'pass':>6} {'fail':>6}  worst_residual")
+    print(f"{'suite':<{width}}  {'pass':>6} {'fail':>6}  {'worst_residual':<14}  first_failure")
     for r in results:
-        print(f"{r.name:<{width}}  {r.passed:>6} {r.failed:>6}  {r.worst_residual:.3e}")
+        print(f"{r.name:<{width}}  {r.passed:>6} {r.failed:>6}  {r.worst_residual:<14.3e}  "
+              f"{_failure_cause(r)}")
     payload = {
         "config": {"seed": cfg.seed, "trials": cfg.trials,
                    "dim_max": cfg.dim_max, "hbar": cfg.hbar},

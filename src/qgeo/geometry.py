@@ -27,6 +27,15 @@ ancilla: with Y_A = A psi, M_A = psi†Y_A and D_A its block-diagonal part,
 xi_A = D_A P^-1 / (i hbar), and ``pair_terms`` evaluates brackets and
 xi-products from (Y_A, M_A) alone. The ambient lift/split/connection path
 stays as the independent oracle that ``verify`` checks it against.
+
+The oracle functions (``hamiltonian_lift``, ``connection``, ``split``,
+``xi_field``, ``chi``, ``ambient_forms``, ``inertia_inner``) work on stacks:
+every operation acts on the trailing matrix axes, so a frame may carry a
+leading batch axis (``psi`` of shape (B, n, k) with ``sigma.full`` (B, k) and
+``sigma.block_mask`` (B, k, k), see ``states.FrameStack``), observables and
+tangents may carry further leading axes that broadcast against it, and a
+plain frame is the case with no batch axis. Scalars come back with the
+leading shape; every check applies to each slice and raises if any fails.
 """
 
 from __future__ import annotations
@@ -38,18 +47,18 @@ import numpy as np
 
 from .config import Tolerances, default_tolerances
 from .errors import (
+    BadDims,
     BasepointMismatch,
     IdentityViolation,
     NonPositive,
+    NotHermitian,
     NotTangent,
     SpectrumMismatch,
 )
 from .linalg import (
     check_anti_hermitian,
-    check_finite,
-    check_hermitian,
     check_observable,
-    frobenius,
+    frobenius_norms,
     hermitian_eigensystem,
 )
 from .states import GaugeElement, PurificationFrame, Spectrum
@@ -121,21 +130,33 @@ class PairTerms(NamedTuple):
     pb_pb: float
 
 
-def _tangency_defect(x: np.ndarray, psi: np.ndarray) -> float:
-    return frobenius(x.conj().T @ psi + psi.conj().T @ x)
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
+
+
+def _tangency_defect(x: np.ndarray, psi: np.ndarray):
+    h = _adjoint(x) @ psi
+    return frobenius_norms(h + _adjoint(h))
 
 
 def ambient_tangent(x, base: PurificationFrame,
                     tol: Tolerances | None = None) -> AmbientTangent:
-    """Validate tangency of x at the frame and wrap."""
+    """Validate tangency of x at the frame and wrap.
+
+    x has the frame's shape, or extra leading axes (a stack of tangents at
+    the same frame)."""
     tol = tol or default_tolerances()
-    x = check_finite(np.asarray(x, dtype=complex), "tangent")
-    if x.shape != base.psi.shape:
-        raise NotTangent(f"tangent shape {x.shape} != frame shape {base.psi.shape}")
-    scale = max(1.0, frobenius(x) * frobenius(base.psi))
-    defect = _tangency_defect(x, base.psi)
-    if defect > tol.tangent * scale:
-        raise NotTangent(f"|X†psi + psi†X|_F = {defect:.3e} exceeds {tol.tangent:.3e} x scale")
+    x = np.asarray(x, dtype=complex)
+    psi = base.psi
+    if x.shape[x.ndim - psi.ndim:] != psi.shape:
+        raise NotTangent(f"tangent shape {x.shape} does not end in frame shape {psi.shape}")
+    if not np.isfinite(x).all():
+        raise BadDims("tangent contains non-finite entries")
+    scale = np.maximum(1.0, frobenius_norms(x) * frobenius_norms(psi))
+    defect = _tangency_defect(x, psi)
+    if (defect > tol.tangent * scale).any():
+        raise NotTangent(f"|X†psi + psi†X|_F = {np.max(defect):.3e} exceeds "
+                         f"{tol.tangent:.3e} x scale")
     return AmbientTangent(x, base)
 
 
@@ -164,14 +185,16 @@ def _resolve_tangent(psi: PurificationFrame, x, tol: Tolerances) -> AmbientTange
 
 def _resolve_gauge(xi, sigma: Spectrum) -> np.ndarray:
     if isinstance(xi, GaugeElement):
-        if xi.sigma != sigma:
+        if xi.sigma is not sigma and xi.sigma != sigma:
             raise SpectrumMismatch("gauge element carries a different spectrum")
         return xi.xi
     return np.asarray(xi, dtype=complex)
 
 
 def chi(sigma: Spectrum, hbar: float = 1.0) -> GaugeElement:
-    """The unit central gauge direction 1/(i sqrt(2 hbar)); chi . chi = 1."""
+    """The unit central gauge direction 1/(i sqrt(2 hbar)); chi . chi = 1.
+
+    One k x k matrix, which broadcasts over a stack's slices."""
     xi = np.eye(sigma.k, dtype=complex) / (1j * np.sqrt(2.0 * hbar))
     return GaugeElement(xi, sigma)
 
@@ -181,26 +204,27 @@ def ambient_forms(x: AmbientTangent, y: AmbientTangent,
     """Metric and symplectic pairings of two tangents at the same frame.
 
     Both values are exactly real: they are 2*hbar times the real and
-    imaginary parts of the Hilbert-Schmidt inner product Tr(X†Y).
+    imaginary parts of the Hilbert-Schmidt inner product Tr(X†Y), one per
+    slice of a stack.
     """
     ctx = ctx or GeometryContext()
     if x.base.psi is not y.base.psi and not np.array_equal(x.base.psi, y.base.psi):
         raise BasepointMismatch("tangents live at different frames")
     # both traces are combined so g is exactly symmetric and w exactly
     # antisymmetric (a single trace leaves FMA residue in Tr(X†X))
-    xy = complex(np.vdot(x.x, y.x))
-    yx = complex(np.vdot(y.x, x.x))
+    xy = np.einsum("...ij,...ij->...", x.x.conj(), y.x)
+    yx = np.einsum("...ij,...ij->...", y.x.conj(), x.x)
     return AmbientForms(ctx.hbar * (xy.real + yx.real), ctx.hbar * (xy.imag - yx.imag))
 
 
-def inertia_inner(xi, eta, ctx: GeometryContext | None = None) -> float:
+def inertia_inner(xi, eta, ctx: GeometryContext | None = None):
     """Bi-invariant metric on the gauge algebra:
-    xi . eta = hbar Tr((xi†eta + eta†xi) P).
+    xi . eta = hbar Tr((xi†eta + eta†xi) P), one value per slice of a stack.
 
     Coincides with G(psi xi, psi eta) at every frame (locked inertia)."""
     ctx = ctx or GeometryContext()
     if isinstance(xi, GaugeElement) and isinstance(eta, GaugeElement):
-        if xi.sigma != eta.sigma:
+        if xi.sigma is not eta.sigma and xi.sigma != eta.sigma:
             raise SpectrumMismatch("gauge elements carry different spectra")
         sigma = xi.sigma
     elif isinstance(xi, GaugeElement):
@@ -211,8 +235,8 @@ def inertia_inner(xi, eta, ctx: GeometryContext | None = None) -> float:
         raise SpectrumMismatch("at least one argument must be a GaugeElement")
     a = _resolve_gauge(xi, sigma)
     b = _resolve_gauge(eta, sigma)
-    diag = np.einsum("ij,ij->j", a.conj(), b)
-    return float(2.0 * ctx.hbar * np.real(np.sum(diag * sigma.full)))
+    diag = np.einsum("...ij,...ij->...j", a.conj(), b).real
+    return 2.0 * ctx.hbar * np.einsum("...j,...j->...", diag, sigma.full)
 
 
 def momentum_map(psi, xi, ctx: GeometryContext | None = None) -> float:
@@ -240,14 +264,15 @@ def connection(psi: PurificationFrame, x, ctx: GeometryContext | None = None) ->
     """
     ctx = ctx or GeometryContext()
     xt = _resolve_tangent(psi, x, ctx.tol)
-    m = psi.psi.conj().T @ xt.x
-    out = np.where(psi.sigma.block_mask, m, 0) / psi.sigma.full
-    defect = frobenius(out + out.conj().T)
-    if defect > ctx.tol.gauge * max(1.0, frobenius(out)):
+    m = _adjoint(psi.psi) @ xt.x
+    out = np.where(psi.sigma.block_mask, m, 0) / psi.sigma.full[..., None, :]
+    adj = _adjoint(out)
+    defect = frobenius_norms(out + adj)
+    if (defect > ctx.tol.gauge * np.maximum(1.0, frobenius_norms(out))).any():
         raise IdentityViolation(
-            f"connection value not anti-Hermitian: defect {defect:.3e}"
+            f"connection value not anti-Hermitian: defect {np.max(defect):.3e}"
         )
-    out = 0.5 * (out - out.conj().T)
+    out = 0.5 * (out - adj)
     return GaugeElement(out, psi.sigma)
 
 
@@ -266,6 +291,24 @@ def split(psi: PurificationFrame, x, ctx: GeometryContext | None = None
     return hor, vert
 
 
+def _check_observables(a, n: int, tol: Tolerances) -> np.ndarray:
+    """One Hermitian n x n observable, or a stack of them."""
+    a = np.asarray(a, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise BadDims(f"observable must be square, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise BadDims("observable contains non-finite entries")
+    norm = frobenius_norms(a)
+    defect = frobenius_norms(a - _adjoint(a)) / np.where(norm == 0.0, 1.0, norm)
+    if (defect > tol.herm).any():
+        raise NotHermitian(f"observable: relative Hermiticity defect "
+                           f"{np.max(defect):.3e} > {tol.herm:.3e}")
+    if a.shape[-1] != n:
+        raise NotTangent(f"observable is {a.shape[-1]} x {a.shape[-1]}, "
+                         f"frame lives in dimension {n}")
+    return a
+
+
 def hamiltonian_lift(a, psi: PurificationFrame,
                      ctx: GeometryContext | None = None) -> AmbientTangent:
     """Gauge-invariant lift X_A(psi) = A psi / (i hbar) of an observable.
@@ -273,9 +316,7 @@ def hamiltonian_lift(a, psi: PurificationFrame,
     Tangency holds automatically for Hermitian A and is checked.
     """
     ctx = ctx or GeometryContext()
-    a = check_hermitian(np.asarray(a, dtype=complex), ctx.tol, "observable")
-    if a.shape[0] != psi.n:
-        raise NotTangent(f"observable is {a.shape[0]} x {a.shape[0]}, frame lives in dimension {psi.n}")
+    a = _check_observables(a, psi.psi.shape[-2], ctx.tol)
     return ambient_tangent((a @ psi.psi) / (1j * ctx.hbar), psi, ctx.tol)
 
 
@@ -291,7 +332,7 @@ def xi_field(a, psi: PurificationFrame, ctx: GeometryContext | None = None
     xi = connection(psi, hamiltonian_lift(a, psi, ctx), ctx)
     c = chi(psi.sigma, ctx.hbar)
     coeff = inertia_inner(c, xi, ctx)
-    perp = GaugeElement(xi.xi - coeff * c.xi, psi.sigma)
+    perp = GaugeElement(xi.xi - np.asarray(coeff)[..., None, None] * c.xi, psi.sigma)
     return xi, perp
 
 
@@ -366,43 +407,47 @@ def brackets(a, b, psi: PurificationFrame,
     return AmbientForms(t.g_ab, t.w_ab)
 
 
+def _hermitian_basis(n: int) -> np.ndarray:
+    """Orthonormal basis of the n x n Hermitian matrices as an (n^2, n, n)
+    stack: the diagonal units, then for each i < j the symmetric and the
+    antisymmetric pair."""
+    basis = np.zeros((n * n, n, n), dtype=complex)
+    basis[np.arange(n), np.arange(n), np.arange(n)] = 1.0
+    d = n
+    for i in range(n):
+        for j in range(i + 1, n):
+            basis[d, i, j] = basis[d, j, i] = 1.0 / np.sqrt(2.0)
+            basis[d + 1, i, j] = 1j / np.sqrt(2.0)
+            basis[d + 1, j, i] = -1j / np.sqrt(2.0)
+            d += 2
+    return basis
+
+
+def _omega_grams(psi: PurificationFrame, ctx: GeometryContext
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Gram matrices of the symplectic pairing of the lifts and of the
+    metric pairing of their horizontal parts, over ``_hermitian_basis``."""
+    lifts = hamiltonian_lift(_hermitian_basis(psi.n), psi, ctx)
+    hors, _ = split(psi, lifts, ctx)
+    # as in ambient_forms, both orders are combined: G_ij = hbar 2 Re<x_i, x_j>
+    # exactly symmetric, W_ij = hbar 2 Im<x_i, x_j> exactly antisymmetric
+    lw = np.einsum("anm,bnm->ab", lifts.x.conj(), lifts.x)
+    hg = np.einsum("anm,bnm->ab", hors.x.conj(), hors.x)
+    return ctx.hbar * (lw.imag - lw.imag.T), ctx.hbar * (hg.real + hg.real.T)
+
+
 def omega_rank(psi: PurificationFrame, ctx: GeometryContext | None = None,
                rel_cut: float = 1e-9) -> tuple[int, int]:
     """Diagnostic rank of the reduced symplectic form at a state.
 
-    Builds lifts of a full Hermitian operator basis, forms the Gram matrices
-    of the symplectic pairing (on full lifts) and the metric pairing (on
-    horizontal parts), and counts eigenvalues above a relative cut. The
-    metric rank equals the orbit dimension, so nondegeneracy of the reduced
-    form shows up as equal ranks. Not an acceptance gate.
+    Lifts a full Hermitian operator basis as one stack, forms the Gram
+    matrices of the symplectic pairing (on full lifts) and the metric
+    pairing (on horizontal parts), and counts eigenvalues above a relative
+    cut. The metric rank equals the orbit dimension, so nondegeneracy of the
+    reduced form shows up as equal ranks. Not an acceptance gate.
     """
     ctx = ctx or GeometryContext()
-    n = psi.n
-    basis: list[np.ndarray] = []
-    for i in range(n):
-        e = np.zeros((n, n), dtype=complex)
-        e[i, i] = 1.0
-        basis.append(e)
-    for i in range(n):
-        for j in range(i + 1, n):
-            e = np.zeros((n, n), dtype=complex)
-            e[i, j] = e[j, i] = 1.0 / np.sqrt(2.0)
-            basis.append(e)
-            f = np.zeros((n, n), dtype=complex)
-            f[i, j] = 1j / np.sqrt(2.0)
-            f[j, i] = -1j / np.sqrt(2.0)
-            basis.append(f)
-    lifts = [hamiltonian_lift(a, psi, ctx) for a in basis]
-    hors = [split(psi, x, ctx)[0] for x in lifts]
-    d = len(basis)
-    gram_w = np.zeros((d, d))
-    gram_g = np.zeros((d, d))
-    for i in range(d):
-        for j in range(i, d):
-            gram_w[i, j] = ambient_forms(lifts[i], lifts[j], ctx).w
-            gram_w[j, i] = -gram_w[i, j]
-            gram_g[i, j] = ambient_forms(hors[i], hors[j], ctx).g
-            gram_g[j, i] = gram_g[i, j]
+    gram_w, gram_g = _omega_grams(psi, ctx)
 
     def _rank(sym: np.ndarray) -> int:
         values, _ = hermitian_eigensystem(sym.astype(complex), ctx.tol)

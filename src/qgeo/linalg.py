@@ -9,6 +9,8 @@ functions are pure; random sampling threads an explicit numpy ``Generator``.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .config import Tolerances, default_tolerances
@@ -16,6 +18,8 @@ from .errors import BadDims, NotAntiHermitian, NotHermitian
 
 __all__ = [
     "frobenius",
+    "frobenius_norms",
+    "stack_padded",
     "check_finite",
     "check_square",
     "hermiticity_defect",
@@ -33,7 +37,32 @@ __all__ = [
 
 
 def frobenius(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m))
+    """Frobenius norm with ``numpy.linalg.norm``'s arithmetic (flatten in
+    memory order, real dot products, a correctly rounded square root) but
+    without its dispatch, which costs more than the norm of a small matrix."""
+    x = np.asarray(m)
+    if x.dtype.kind not in "fc":
+        x = x.astype(float)
+    x = x.ravel(order="K")
+    if x.dtype.kind == "c":
+        re, im = x.real, x.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(x.dot(x))
+
+
+def frobenius_norms(m: np.ndarray):
+    """Frobenius norm of each matrix in a stack (the trailing two axes); a
+    scalar for one matrix."""
+    v = np.ascontiguousarray(m, dtype=complex).view(float)
+    return np.sqrt(np.einsum("...ij,...ij->...", v, v))
+
+
+def stack_padded(ms, shape: tuple[int, int]) -> np.ndarray:
+    """Stack matrices into one complex array, zero-padding each to ``shape``."""
+    out = np.zeros((len(ms), *shape), dtype=complex)
+    for slot, m in zip(out, ms):
+        slot[:m.shape[0], :m.shape[1]] = m
+    return out
 
 
 def check_finite(m: np.ndarray, name: str = "matrix") -> np.ndarray:

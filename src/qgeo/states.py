@@ -11,7 +11,9 @@ exact.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,6 +34,7 @@ from .linalg import (
     sample_haar_unitary,
     sample_hermitian,
     sample_isometry,
+    stack_padded,
 )
 
 __all__ = [
@@ -41,6 +44,9 @@ __all__ = [
     "density_state",
     "PurificationFrame",
     "purification_frame",
+    "SpectrumStack",
+    "FrameStack",
+    "stack_frames",
     "GaugeElement",
     "gauge_element",
     "purify",
@@ -52,6 +58,11 @@ __all__ = [
     "rank_one_partial_trace",
     "connecting_gauge",
 ]
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -69,33 +80,37 @@ class Spectrum:
     def l(self) -> int:
         return len(self.values)
 
-    @property
+    # Derived data is computed once per spectrum. The arrays are read-only,
+    # since every caller shares them; the cache lives outside the dataclass
+    # fields, so equality and hashing still see only values and mults.
+
+    @cached_property
     def k(self) -> int:
         return int(sum(self.mults))
 
-    @property
+    @cached_property
     def full(self) -> np.ndarray:
         """Length-k vector of eigenvalues with repeats, descending."""
-        return np.repeat(np.asarray(self.values, dtype=float),
-                         np.asarray(self.mults, dtype=int))
+        return _frozen(np.repeat(np.asarray(self.values, dtype=float),
+                                 np.asarray(self.mults, dtype=int)))
 
-    @property
+    @cached_property
     def p_matrix(self) -> np.ndarray:
         """The k x k diagonal weight matrix P."""
-        return np.diag(self.full).astype(complex)
+        return _frozen(np.diag(self.full).astype(complex))
 
-    @property
+    @cached_property
     def blocks(self) -> tuple[slice, ...]:
         """Index ranges of the multiplicity blocks inside {1..k}."""
         edges = np.concatenate(([0], np.cumsum(self.mults))).astype(int)
         return tuple(slice(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]))
 
-    @property
+    @cached_property
     def block_mask(self) -> np.ndarray:
         """k x k bool mask, True where row and column lie in the same
         multiplicity block: the entries a matrix commuting with P may use."""
         labels = np.repeat(np.arange(self.l), self.mults)
-        return labels[:, None] == labels[None, :]
+        return _frozen(labels[:, None] == labels[None, :])
 
     def padded(self, n: int) -> np.ndarray:
         """Spectrum as a length-n descending vector, zero-padded."""
@@ -135,7 +150,7 @@ class DensityState:
 
     @property
     def n(self) -> int:
-        return self.rho.shape[0]
+        return self.rho.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -152,6 +167,44 @@ class PurificationFrame:
     @property
     def k(self) -> int:
         return self.psi.shape[1]
+
+
+@dataclass(frozen=True, eq=False)
+class SpectrumStack:
+    """The spectrum data the geometry reads, one slice per frame of a stack:
+    ``full`` (B, k) and ``block_mask`` (B, k, k). Compares by identity."""
+
+    full: np.ndarray
+    block_mask: np.ndarray
+
+    @property
+    def k(self) -> int:
+        return self.full.shape[-1]
+
+
+@dataclass(frozen=True)
+class FrameStack:
+    """B purification frames of one rank k as one (B, n, k) array.
+
+    Frames of smaller dimension are zero-padded to n. The embedding is
+    exact: psi (+) 0 purifies rho (+) 0 with the same spectrum, and an
+    observable A (+) 0 has the same expectations and brackets there.
+    """
+
+    psi: np.ndarray
+    sigma: SpectrumStack
+
+    @property
+    def k(self) -> int:
+        return self.psi.shape[-1]
+
+
+def stack_frames(frames: Sequence[PurificationFrame], n: int) -> FrameStack:
+    """Stack frames of one rank k, zero-padding each to dimension n."""
+    psi = stack_padded([f.psi for f in frames], (n, frames[0].k))
+    sigma = SpectrumStack(np.stack([f.sigma.full for f in frames]),
+                          np.stack([f.sigma.block_mask for f in frames]))
+    return FrameStack(psi, sigma)
 
 
 @dataclass(frozen=True)
@@ -259,9 +312,11 @@ def purify(state: DensityState, tol: Tolerances | None = None) -> PurificationFr
 
 def frame_to_state(frame: PurificationFrame) -> DensityState:
     """psi psi†, certified by the frame invariant (no eigensolve needed:
-    the nonzero eigenvalues of psi psi† are those of psi†psi = P)."""
-    rho = frame.psi @ frame.psi.conj().T
-    rho = 0.5 * (rho + rho.conj().T)
+    the nonzero eigenvalues of psi psi† are those of psi†psi = P).
+
+    A ``FrameStack`` gives the (B, n, n) stack of its states."""
+    rho = frame.psi @ frame.psi.conj().swapaxes(-1, -2)
+    rho = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
     return DensityState(rho, frame.sigma)
 
 

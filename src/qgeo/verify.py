@@ -10,6 +10,12 @@ the expectation/covariance identities linking trace-level statistics to the
 bracket/xi-field pipeline, then checks that the uncertainty product
 dominates all three lower bounds and that the combined bound is exactly the
 pointwise maximum of the other two.
+
+The identity campaign and the connection suite evaluate their trials in
+stacks: trials of one rank k (and one hbar) are zero-padded to a common
+dimension and pushed through the stack-aware geometry oracle at once. The
+draws stay per trial, in trial order, so every random stream is the same as
+in a one-trial-at-a-time loop.
 """
 
 from __future__ import annotations
@@ -36,15 +42,18 @@ from .geometry import (
 )
 from .linalg import (
     frobenius,
+    frobenius_norms,
     hermitian_eigensystem,
     sample_haar_unitary,
     sample_hermitian,
     sample_isometry,
+    stack_padded,
     trial_rng,
     unitary_exponential_family,
 )
 from .spin import abcd_experiment, build_ensemble, build_spin, closed_forms, ensemble_spec
 from .states import (
+    GaugeElement,
     PurificationFrame,
     Spectrum,
     connecting_gauge,
@@ -56,6 +65,7 @@ from .states import (
     random_gauge,
     random_gauge_algebra,
     rank_one_partial_trace,
+    stack_frames,
 )
 from .uncertainty import classify, evolve, moments, rs_bound
 
@@ -109,25 +119,32 @@ class RunConfig:
 
 @dataclass
 class SuiteResult:
+    """Pass/fail counts, the worst residual, and the first failure's cause:
+    ``("residual", trial)`` for a residual over its limit, or the exception
+    class name and trial of a trial that could not be checked."""
+
     name: str
     passed: int = 0
     failed: int = 0
     worst_residual: float = 0.0
+    first_failure: tuple[str, int | None] | None = None
 
-    def add(self, residual: float, limit: float) -> None:
+    def add(self, residual: float, limit: float, trial: int | None = None) -> None:
         """Count one checked trial. A NaN residual counts a failure and
         leaves the worst residual unchanged."""
         residual = float(residual)
         if residual <= limit:
             self.passed += 1
         else:
-            self.failed += 1
+            self.fail("residual", trial)
         if residual > self.worst_residual:
             self.worst_residual = residual
 
-    def fail(self) -> None:
+    def fail(self, cause: str = "error", trial: int | None = None) -> None:
         """Count a trial that could not be checked as failed."""
         self.failed += 1
+        if self.first_failure is None:
+            self.first_failure = (cause, trial)
 
     @property
     def ok(self) -> bool:
@@ -137,26 +154,68 @@ class SuiteResult:
 Row = tuple[str, float, float]  # (suite name, residual, limit)
 
 
+def _drawn_rows(batch: list) -> list:
+    return batch
+
+
 def _campaign(cfg: RunConfig, suite_id: int, trials: int, names: list[str],
-              rows: Callable[[np.random.Generator, int], list[Row]]) -> list[SuiteResult]:
+              draw: Callable[[np.random.Generator, int], object],
+              evaluate: Callable[[list], list[list[Row]]] = _drawn_rows,
+              key: Callable[[object], object] | None = None) -> list[SuiteResult]:
     """Run ``trials`` seeded trials feeding the suites in ``names``.
 
-    Trial i draws from trial_rng(seed, suite_id, i); ``rows(rng, i)`` returns
-    its (suite, residual, limit) rows. A QGeoError anywhere in a trial fails
-    that trial in every suite it feeds instead of aborting the run. Rows are
-    added only once the trial has finished, so no trial counts twice.
+    Trial i draws its inputs with ``draw(trial_rng(seed, suite_id, i), i)``,
+    in trial order. With a ``key``, the trials whose inputs share
+    ``key(inputs)`` form one group and ``evaluate`` maps the group's list of
+    inputs to each trial's (suite, residual, limit) rows in one call.
+    Without one every trial is its own group, and ``draw`` may return the
+    rows itself (the default ``evaluate`` passes them on).
+
+    A QGeoError in a trial's draw fails that trial in every suite it feeds.
+    One raised by a group's evaluation replays the group trial by trial, so
+    only the offending trials fail. Rows are added in trial order once every
+    group has finished, so no trial counts twice.
     """
-    suites = {name: SuiteResult(name) for name in names}
+    outcomes: list = [None] * trials  # a trial's rows, or its exception class
+    groups: dict = {}
     for trial in range(trials):
         try:
-            out = rows(trial_rng(cfg.seed, suite_id, trial), trial)
-        except QGeoError:
-            for suite in suites.values():
-                suite.fail()
+            inputs = draw(trial_rng(cfg.seed, suite_id, trial), trial)
+        except QGeoError as exc:
+            outcomes[trial] = type(exc).__name__
             continue
-        for name, residual, limit in out:
-            suites[name].add(residual, limit)
+        groups.setdefault(trial if key is None else key(inputs), []).append((trial, inputs))
+
+    def run(members: list) -> None:
+        try:
+            out = evaluate([inputs for _, inputs in members])
+        except QGeoError as exc:
+            if len(members) == 1:
+                outcomes[members[0][0]] = type(exc).__name__
+            else:
+                for member in members:
+                    run([member])
+            return
+        for (trial, _), rows in zip(members, out):
+            outcomes[trial] = rows
+
+    for members in groups.values():
+        run(members)
+    suites = {name: SuiteResult(name) for name in names}
+    for trial, outcome in enumerate(outcomes):
+        if isinstance(outcome, str):
+            for suite in suites.values():
+                suite.fail(outcome, trial)
+            continue
+        for name, residual, limit in outcome:
+            suites[name].add(residual, limit, trial)
     return list(suites.values())
+
+
+def _stack_rows(columns: list[tuple[str, np.ndarray, float]]) -> list[list[Row]]:
+    """Per-trial rows from per-suite residual arrays over a group."""
+    return [[(name, float(resid[i]), limit) for name, resid, limit in columns]
+            for i in range(len(columns[0][1]))]
 
 
 # --- input generators --------------------------------------------------------
@@ -321,22 +380,30 @@ def run_partial_trace_suite(cfg: RunConfig) -> SuiteResult:
 def run_connection_suite(cfg: RunConfig) -> SuiteResult:
     ctx = GeometryContext(hbar=cfg.hbar, tol=cfg.tol)
 
-    def rows(rng: np.random.Generator, trial: int) -> list[Row]:
+    def draw(rng: np.random.Generator, trial: int):
         frame, _, _ = random_instance(rng, cfg.dim_max)
         xi = random_gauge_algebra(frame.sigma, rng)
-        vertical = AmbientTangent(frame.psi @ xi.xi, frame)
-        reproduced = connection(frame, vertical, ctx)
-        resid = frobenius(reproduced.xi - xi.xi) / max(1.0, frobenius(xi.xi))
-        tangent = random_tangent(frame, rng)
-        hor, _ = split(frame, tangent, ctx)
-        resid = max(resid, frobenius(connection(frame, hor, ctx).xi)
-                    / max(1.0, frobenius(tangent.x)))
-        hor2, vert2 = split(frame, hor, ctx)
-        resid = max(resid, frobenius(hor2.x - hor.x) / max(1.0, frobenius(hor.x)))
-        resid = max(resid, frobenius(vert2.x) / max(1.0, frobenius(hor.x)))
-        return [("connection_contract", resid, cfg.tol.connection)]
+        return frame, xi.xi, random_tangent(frame, rng).x
 
-    return _campaign(cfg, _CONN, cfg.trials, ["connection_contract"], rows)[0]
+    def evaluate(batch: list) -> list[list[Row]]:
+        frame_list, xi_list, tangent_list = zip(*batch)
+        n = max(frame.n for frame in frame_list)
+        frames = stack_frames(frame_list, n)
+        xi = np.stack(xi_list)
+        tangent = AmbientTangent(stack_padded(tangent_list, (n, frames.k)), frames)
+        reproduced = connection(frames, AmbientTangent(frames.psi @ xi, frames), ctx)
+        resid = frobenius_norms(reproduced.xi - xi) / np.maximum(1.0, frobenius_norms(xi))
+        hor, _ = split(frames, tangent, ctx)
+        resid = np.maximum(resid, frobenius_norms(connection(frames, hor, ctx).xi)
+                           / np.maximum(1.0, frobenius_norms(tangent.x)))
+        hor2, vert2 = split(frames, hor, ctx)
+        hor_scale = np.maximum(1.0, frobenius_norms(hor.x))
+        resid = np.maximum(resid, frobenius_norms(hor2.x - hor.x) / hor_scale)
+        resid = np.maximum(resid, frobenius_norms(vert2.x) / hor_scale)
+        return _stack_rows([("connection_contract", resid, cfg.tol.connection)])
+
+    return _campaign(cfg, _CONN, cfg.trials, ["connection_contract"], draw, evaluate,
+                     key=lambda inputs: inputs[0].k)[0]
 
 
 def run_momentum_fd_suite(cfg: RunConfig) -> SuiteResult:
@@ -375,27 +442,45 @@ def run_momentum_equivariance_suite(cfg: RunConfig) -> SuiteResult:
 
 def _instance_terms(a: np.ndarray, b: np.ndarray, frame: PurificationFrame,
                     ctx: GeometryContext) -> dict[str, float]:
-    """All bracket/xi-field scalars of one instance via the pipeline."""
-    lift_a = hamiltonian_lift(a, frame, ctx)
-    lift_b = hamiltonian_lift(b, frame, ctx)
-    hor_a, _ = split(frame, lift_a, ctx)
-    hor_b, _ = split(frame, lift_b, ctx)
-    xi_a, perp_a = xi_field(a, frame, ctx)
-    xi_b, perp_b = xi_field(b, frame, ctx)
-    c = chi(frame.sigma, ctx.hbar)
+    """All bracket/xi-field scalars of one instance via the pipeline.
+
+    Also takes a ``FrameStack`` with observable stacks a, b of shape
+    (B, n, n); every value is then a length-B array. A and B go through the
+    lift, split and xi-field as one (2, ..., n, k) stack.
+    """
+    obs = np.stack([a, b])
+    lifts = hamiltonian_lift(obs, frame, ctx)
+    hors, _ = split(frame, lifts, ctx)
+    xis, perps = xi_field(obs, frame, ctx)
+    lift_a, lift_b = (AmbientTangent(x, frame) for x in lifts.x)
+    hor_a, hor_b = (AmbientTangent(x, frame) for x in hors.x)
+    xi_a, xi_b = (GaugeElement(x, frame.sigma) for x in xis.xi)
+    perp_a, perp_b = (GaugeElement(x, frame.sigma) for x in perps.xi)
+    cross = ambient_forms(hor_a, hor_b, ctx)
+    g_self = ambient_forms(hors, hors, ctx).g
+    perp_sq = inertia_inner(perps, perps, ctx)
+    chis = inertia_inner(chi(frame.sigma, ctx.hbar), xis, ctx)
     return {
-        "g_ab": ambient_forms(hor_a, hor_b, ctx).g,
+        "g_ab": cross.g,
         "w_ab": ambient_forms(lift_a, lift_b, ctx).w,
-        "w_hor": ambient_forms(hor_a, hor_b, ctx).w,
-        "g_aa": ambient_forms(hor_a, hor_a, ctx).g,
-        "g_bb": ambient_forms(hor_b, hor_b, ctx).g,
+        "w_hor": cross.w,
+        "g_aa": g_self[0],
+        "g_bb": g_self[1],
         "xa_xb": inertia_inner(xi_a, xi_b, ctx),
         "pa_pb": inertia_inner(perp_a, perp_b, ctx),
-        "pa_pa": inertia_inner(perp_a, perp_a, ctx),
-        "pb_pb": inertia_inner(perp_b, perp_b, ctx),
-        "chi_a": inertia_inner(c, xi_a, ctx),
-        "chi_b": inertia_inner(c, xi_b, ctx),
+        "pa_pa": perp_sq[0],
+        "pb_pb": perp_sq[1],
+        "chi_a": chis[0],
+        "chi_b": chis[1],
     }
+
+
+_IDENTITY_SUITES = [
+    "identity_expectation", "identity_product", "identity_covariance",
+    "identity_variance_product", "identity_rs_decomposition", "cauchy_schwarz",
+    "variance_floor", "bound_dominance", "combined_is_max",
+    "omega_from_horizontal",
+]
 
 
 def run_identity_campaign(cfg: RunConfig) -> list[SuiteResult]:
@@ -403,32 +488,38 @@ def run_identity_campaign(cfg: RunConfig) -> list[SuiteResult]:
 
     Trace-level statistics (expectations, covariance, commutator, moments)
     act as the oracle side; the bracket pipeline is the machine side.
-    Alternates hbar between 1 and 0.32 to catch hidden unit errors.
+    Alternates hbar between 1 and 0.32 to catch hidden unit errors. Trials
+    of one (rank, hbar) are evaluated as one zero-padded stack.
     """
-    names = [
-        "identity_expectation", "identity_product", "identity_covariance",
-        "identity_variance_product", "identity_rs_decomposition", "cauchy_schwarz",
-        "variance_floor", "bound_dominance", "combined_is_max",
-        "omega_from_horizontal",
-    ]
 
-    def scaled(lhs: float, rhs: float) -> float:
-        return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
+    def scaled(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        return np.abs(lhs - rhs) / np.maximum(np.maximum(1.0, np.abs(lhs)), np.abs(rhs))
 
-    def rows(rng: np.random.Generator, trial: int) -> list[Row]:
+    def draw(rng: np.random.Generator, trial: int):
         hbar = 1.0 if trial % 2 == 0 else 0.32
-        ctx = GeometryContext(hbar=hbar, tol=cfg.tol)
-        frame, a, b = random_instance(rng, cfg.dim_max)
-        state = frame_to_state(frame)
-        rho = state.rho
+        return (hbar, *random_instance(rng, cfg.dim_max))
 
-        exp_a = float(np.real(np.trace(a @ rho)))
-        exp_b = float(np.real(np.trace(b @ rho)))
-        sym = float(np.real(np.trace(0.5 * (a @ b + b @ a) @ rho)))
-        com = float(np.real(np.trace((a @ b - b @ a) @ rho) / 2j))
-        _, d_a = moments(a, state, cfg.tol)
-        _, d_b = moments(b, state, cfg.tol)
-        t = _instance_terms(a, b, frame, ctx)
+    def evaluate(batch: list) -> list[list[Row]]:
+        hbars, frame_list, a_list, b_list = zip(*batch)
+        hbar = hbars[0]
+        ctx = GeometryContext(hbar=hbar, tol=cfg.tol)
+        n = max(frame.n for frame in frame_list)
+        frames = stack_frames(frame_list, n)
+        a = stack_padded(a_list, (n, n))
+        b = stack_padded(b_list, (n, n))
+        rho = frame_to_state(frames).rho
+        a_rho, b_rho = a @ rho, b @ rho
+        exp_a = np.einsum("...ii->...", a_rho).real
+        exp_b = np.einsum("...ii->...", b_rho).real
+        ab = np.einsum("...ij,...ji->...", a, b_rho)  # Tr(A B rho)
+        ba = np.einsum("...ij,...ji->...", b, a_rho)
+        sym = 0.5 * (ab.real + ba.real)
+        com = 0.5 * (ab.imag - ba.imag)
+        d_a = np.sqrt(np.maximum(0.0, np.einsum("...ij,...ji->...", a, a_rho).real
+                                 - exp_a * exp_a))
+        d_b = np.sqrt(np.maximum(0.0, np.einsum("...ij,...ji->...", b, b_rho).real
+                                 - exp_b * exp_b))
+        t = _instance_terms(a, b, frames, ctx)
         half = 0.5 * hbar
         quarter = 0.25 * hbar * hbar
         root = np.sqrt(0.5 * hbar)
@@ -436,45 +527,51 @@ def run_identity_campaign(cfg: RunConfig) -> list[SuiteResult]:
         cs_slack = t["g_aa"] * t["g_bb"] - (t["g_ab"] ** 2 + t["w_hor"] ** 2)
         floor_slack = d_a * d_a - half * t["g_aa"]
 
-        geo = half * float(np.hypot(t["g_ab"], t["w_ab"]))
-        rs = float(np.hypot(cov, com))
+        geo = half * np.hypot(t["g_ab"], t["w_ab"])
+        rs = np.hypot(cov, com)
         diff = 2.0 * t["g_ab"] * t["pa_pb"] + t["pa_pb"] ** 2
-        combined = half * float(np.sqrt(t["g_ab"] ** 2 + t["w_ab"] ** 2 + max(0.0, diff)))
+        combined = half * np.sqrt(t["g_ab"] ** 2 + t["w_ab"] ** 2 + np.maximum(0.0, diff))
         product = d_a * d_b
-        scale = max(1.0, product)
-        return [
+        scale = np.maximum(1.0, product)
+        columns = [
             ("identity_expectation",
-             max(scaled(exp_a, root * t["chi_a"]), scaled(exp_b, root * t["chi_b"])),
+             np.maximum(scaled(exp_a, root * t["chi_a"]), scaled(exp_b, root * t["chi_b"])),
              cfg.tol.identity),
             ("identity_product",
-             max(scaled(sym, half * (t["g_ab"] + t["xa_xb"])),
-                 scaled(com, half * t["w_ab"])),
+             np.maximum(scaled(sym, half * (t["g_ab"] + t["xa_xb"])),
+                        scaled(com, half * t["w_ab"])),
              cfg.tol.identity),
             ("identity_covariance",
              scaled(cov, half * (t["g_ab"] + t["pa_pb"])), cfg.tol.identity),
             ("identity_variance_product",
              scaled((d_a * d_b) ** 2,
-                     quarter * (t["g_aa"] * t["g_bb"] + t["g_aa"] * t["pb_pb"]
-                                + t["g_bb"] * t["pa_pa"] + t["pa_pa"] * t["pb_pb"])),
+                    quarter * (t["g_aa"] * t["g_bb"] + t["g_aa"] * t["pb_pb"]
+                               + t["g_bb"] * t["pa_pa"] + t["pa_pa"] * t["pb_pb"])),
              cfg.tol.identity),
             ("identity_rs_decomposition",
              scaled(cov * cov + com * com,
-                     quarter * (t["g_ab"] ** 2 + t["w_ab"] ** 2
-                                + 2.0 * t["g_ab"] * t["pa_pb"] + t["pa_pb"] ** 2)),
+                    quarter * (t["g_ab"] ** 2 + t["w_ab"] ** 2
+                               + 2.0 * t["g_ab"] * t["pa_pb"] + t["pa_pb"] ** 2)),
              cfg.tol.identity),
             ("cauchy_schwarz",
-             max(0.0, -cs_slack) / max(1.0, t["g_aa"] * t["g_bb"]), cfg.tol.dominance),
-            ("variance_floor",
-             max(0.0, -floor_slack) / max(1.0, d_a * d_a), cfg.tol.dominance),
-            ("bound_dominance",
-             max(0.0, geo - product, rs - product, combined - product) / scale,
+             np.maximum(0.0, -cs_slack) / np.maximum(1.0, t["g_aa"] * t["g_bb"]),
              cfg.tol.dominance),
-            ("combined_is_max", abs(combined - max(geo, rs)) / scale, cfg.tol.dominance),
+            ("variance_floor",
+             np.maximum(0.0, -floor_slack) / np.maximum(1.0, d_a * d_a), cfg.tol.dominance),
+            ("bound_dominance",
+             np.maximum(np.maximum(0.0, geo - product),
+                        np.maximum(rs - product, combined - product)) / scale,
+             cfg.tol.dominance),
+            ("combined_is_max", np.abs(combined - np.maximum(geo, rs)) / scale,
+             cfg.tol.dominance),
             ("omega_from_horizontal",
-             abs(t["w_ab"] - t["w_hor"]) / max(1.0, abs(t["w_ab"])), cfg.tol.invariance),
+             np.abs(t["w_ab"] - t["w_hor"]) / np.maximum(1.0, np.abs(t["w_ab"])),
+             cfg.tol.invariance),
         ]
+        return _stack_rows(columns)
 
-    return _campaign(cfg, _IDENT, cfg.trials, names, rows)
+    return _campaign(cfg, _IDENT, cfg.trials, _IDENTITY_SUITES, draw, evaluate,
+                     key=lambda inputs: (inputs[1].sigma.k, inputs[0]))
 
 
 def run_pure_collapse_suite(cfg: RunConfig) -> SuiteResult:
@@ -519,16 +616,16 @@ def run_gauge_invariance_suite(cfg: RunConfig) -> SuiteResult:
         frame, a, b = random_instance(rng, cfg.dim_max)
         u = random_gauge(frame.sigma, rng)
         moved = gauge_act(frame, u, cfg.tol)
-        t0 = _instance_terms(a, b, frame, ctx)
-        t1 = _instance_terms(a, b, moved, ctx)
-        xi0, _ = xi_field(a, frame, ctx)
-        xi1, _ = xi_field(a, moved, ctx)
+        # the frame and its gauge image as one stack of two
+        both = stack_frames([frame, moved], frame.n)
+        t = _instance_terms(np.stack([a, a]), np.stack([b, b]), both, ctx)
+        xi, _ = xi_field(a, both, ctx)
         resid = max(
-            abs(t0[key] - t1[key]) / max(1.0, abs(t0[key]))
+            abs(t[key][0] - t[key][1]) / max(1.0, abs(t[key][0]))
             for key in ("g_ab", "w_ab", "xa_xb", "pa_pb", "chi_a")
         )
-        conj = u.conj().T @ xi0.xi @ u
-        resid = max(resid, frobenius(xi1.xi - conj) / max(1.0, frobenius(conj)))
+        conj = u.conj().T @ xi.xi[0] @ u
+        resid = max(resid, frobenius(xi.xi[1] - conj) / max(1.0, frobenius(conj)))
         return [("gauge_invariance", resid, cfg.tol.invariance)]
 
     return _campaign(cfg, _GAUGE, cfg.fifth, ["gauge_invariance"], rows)[0]
@@ -635,11 +732,13 @@ def run_spin_suites(cfg: RunConfig) -> list[SuiteResult]:
         spec, state, frame = _random_ensemble(rng)
         spin = build_spin(spec.s, cfg.hbar)
         forms = closed_forms(spec, ctx)
-        _, perp = xi_field(spin.sz, frame, ctx)
+        # one oracle stack of the pairs (Sx, Sy) and (Sx, Sz)
+        t = _instance_terms(np.stack([spin.sx, spin.sx]), np.stack([spin.sy, spin.sz]),
+                            frame, ctx)
         machine = {
-            "sxsy_omega": _instance_terms(spin.sx, spin.sy, frame, ctx)["w_ab"],
-            "sxsx_g": _instance_terms(spin.sx, spin.sx, frame, ctx)["g_ab"],
-            "xi_sz_perp_sq": inertia_inner(perp, perp, ctx),
+            "sxsy_omega": t["w_ab"][0],
+            "sxsx_g": t["g_aa"][1],
+            "xi_sz_perp_sq": t["pb_pb"][1],
             "sz_exp": moments(spin.sz, state, cfg.tol)[0],
         }
         resid = max(abs(value - getattr(forms, key)) / max(1.0, abs(getattr(forms, key)))
@@ -649,16 +748,12 @@ def run_spin_suites(cfg: RunConfig) -> list[SuiteResult]:
     def horizontality_rows(rng: np.random.Generator, trial: int) -> list[Row]:
         spec, _, frame = _random_ensemble(rng)
         spin = build_spin(spec.s, cfg.hbar)
-        lift_x = hamiltonian_lift(spin.sx, frame, ctx)
-        lift_y = hamiltonian_lift(spin.sy, frame, ctx)
-        lift_z = hamiltonian_lift(spin.sz, frame, ctx)
-        resid = max(
-            frobenius(connection(frame, lift_x, ctx).xi) / max(1.0, frobenius(lift_x.x)),
-            frobenius(connection(frame, lift_y, ctx).xi) / max(1.0, frobenius(lift_y.x)),
-        )
-        xi_z, _ = xi_field(spin.sz, frame, ctx)
-        resid = max(resid, frobenius(lift_z.x - frame.psi @ xi_z.xi)
-                    / max(1.0, frobenius(lift_z.x)))
+        lifts = hamiltonian_lift(np.stack([spin.sx, spin.sy, spin.sz]), frame, ctx)
+        xis = connection(frame, lifts, ctx).xi
+        scale = np.maximum(1.0, frobenius_norms(lifts.x))
+        # Sx and Sy lift horizontally; Sz lifts to the vertical psi xi_Sz
+        resid = np.max(frobenius_norms(xis[:2]) / scale[:2])
+        resid = max(resid, frobenius_norms(lifts.x[2] - frame.psi @ xis[2]) / scale[2])
         return [(horizontality, resid, cfg.tol.connection)]
 
     return (_campaign(cfg, _SPIN, cfg.fifth, [agreement], agreement_rows)
@@ -672,8 +767,8 @@ def run_spin_demo_suite(cfg: RunConfig) -> SuiteResult:
     spec = ensemble_spec(1.0, (1.0, 0.0), (0.7, 0.3))
     try:
         demo = abcd_experiment(spec, 0.25, ctx)
-    except QGeoError:
-        res.fail()
+    except QGeoError as exc:
+        res.fail(type(exc).__name__)
         return res
     targets = [
         (demo.closed.sxsy_omega, 0.7),

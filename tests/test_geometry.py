@@ -11,6 +11,8 @@ from qgeo.errors import (
     SpectrumMismatch,
 )
 from qgeo.geometry import (
+    _hermitian_basis,
+    _omega_grams,
     AmbientTangent,
     GeometryContext,
     ambient_forms,
@@ -417,6 +419,30 @@ class TestDiagnostics:
         rank_w, rank_g = omega_rank(mixed_frame, ctx)
         # stabilizer of diag(0.5, 0.25, 0.25, 0, 0) is U(1) x U(2) x U(2)
         assert rank_w == rank_g == 25 - (1 + 4 + 4)
+
+    @pytest.mark.parametrize("full_rank", [False, True])
+    def test_omega_grams_match_pairwise_loop(self, mixed_frame, rng, full_rank):
+        # reference: one lift, one split and one ambient_forms call per pair
+        ctx = GeometryContext(hbar=0.32)
+        frame = random_frame(make_spectrum((0.5, 0.3, 0.2)), 3, rng) if full_rank else mixed_frame
+        basis = _hermitian_basis(frame.n)
+        lifts = [hamiltonian_lift(a, frame, ctx) for a in basis]
+        hors = [split(frame, x, ctx)[0] for x in lifts]
+        d = len(basis)
+        ref_w = np.array([[ambient_forms(lifts[i], lifts[j], ctx).w for j in range(d)]
+                          for i in range(d)])
+        ref_g = np.array([[ambient_forms(hors[i], hors[j], ctx).g for j in range(d)]
+                          for i in range(d)])
+        gram_w, gram_g = _omega_grams(frame, ctx)
+        assert np.max(np.abs(gram_w - ref_w)) <= 1e-12
+        assert np.max(np.abs(gram_g - ref_g)) <= 1e-12
+        assert np.array_equal(gram_w, -gram_w.T) and np.array_equal(gram_g, gram_g.T)
+
+        def rank(sym):
+            values = np.linalg.eigvalsh(sym)
+            return int(np.sum(np.abs(values) > 1e-9 * np.max(np.abs(values))))
+
+        assert omega_rank(frame, ctx) == (rank(1j * ref_w), rank(ref_g))
 
     def test_context_requires_positive_hbar(self):
         with pytest.raises(NonPositive):

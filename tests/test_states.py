@@ -55,6 +55,18 @@ class TestSpectrum:
         commuting = np.where(sigma.block_mask, np.arange(49.0).reshape(7, 7), 0)
         assert np.allclose(commuting @ p, p @ commuting)
 
+    def test_derived_data_is_cached_and_read_only(self):
+        sigma = make_spectrum((0.3, 0.1, 0.05), (2, 3, 2))
+        for name in ("full", "p_matrix", "block_mask"):
+            value = getattr(sigma, name)
+            assert getattr(sigma, name) is value
+            with pytest.raises(ValueError):
+                value[0, ...] = 0
+        assert sigma.blocks is sigma.blocks and sigma.k == 7
+        fresh = make_spectrum((0.3, 0.1, 0.05), (2, 3, 2))
+        assert sigma == fresh and hash(sigma) == hash(fresh)
+        assert sigma != make_spectrum((0.25, 0.125), (2, 4))
+
     def test_mults_default_to_ones(self):
         sigma = make_spectrum((0.7, 0.3))
         assert sigma.mults == (1, 1)

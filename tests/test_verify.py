@@ -9,6 +9,7 @@ from qgeo.geometry import GeometryContext
 from qgeo.linalg import trial_rng
 from qgeo.uncertainty import classify
 from qgeo.verify import (
+    _instance_terms,
     RunConfig,
     SuiteResult,
     parallel_observable,
@@ -46,6 +47,17 @@ class TestSuiteResult:
         res.add(float("nan"), 1.0)
         assert res.passed == 1 and res.failed == 1
         assert res.worst_residual == 0.25
+
+    def test_records_the_first_failure(self):
+        res = SuiteResult("demo")
+        res.add(0.25, 1.0, trial=0)
+        assert res.first_failure is None
+        res.fail("NotGauge", trial=3)
+        res.add(2.0, 1.0, trial=4)
+        assert res.first_failure == ("NotGauge", 3) and res.failed == 2
+        res = SuiteResult("demo")
+        res.add(2.0, 1.0, trial=7)
+        assert res.first_failure == ("residual", 7)
 
 
 class TestGenerators:
@@ -208,6 +220,98 @@ class TestCampaign:
                 "variance_floor", "bound_dominance", "combined_is_max"} <= names
 
 
+IDENTITY_SUITES = (
+    "identity_expectation", "identity_product", "identity_covariance",
+    "identity_variance_product", "identity_rs_decomposition", "cauchy_schwarz",
+    "variance_floor", "bound_dominance", "combined_is_max", "omega_from_horizontal")
+
+
+class TestStacking:
+    """The stacked suites against the same trials evaluated one at a time."""
+
+    @staticmethod
+    def _run(monkeypatch, suite, cfg, singletons):
+        import qgeo.verify
+
+        rows, sizes = [], []
+        add = SuiteResult.add
+        stack = qgeo.verify.stack_frames
+
+        def recording_add(self, residual, limit, trial=None):
+            rows.append((self.name, trial, float(residual), float(residual) <= limit))
+            add(self, residual, limit, trial)
+
+        def recording_stack(frames, n):
+            sizes.append(len(frames))
+            return stack(frames, n)
+
+        with monkeypatch.context() as m:
+            m.setattr(SuiteResult, "add", recording_add)
+            m.setattr(qgeo.verify, "stack_frames", recording_stack)
+            if singletons:
+                campaign = qgeo.verify._campaign
+                m.setattr(qgeo.verify, "_campaign",
+                          lambda *args, key=None, **kwargs: campaign(*args, **kwargs))
+            getattr(qgeo.verify, suite)(cfg)
+        return rows, sizes
+
+    @pytest.mark.parametrize("suite", ["run_identity_campaign", "run_connection_suite"])
+    def test_stacks_match_stacks_of_one(self, monkeypatch, suite):
+        for seed in range(8):
+            cfg = RunConfig(seed=seed, trials=39, dim_max=8)
+            stacked, sizes = self._run(monkeypatch, suite, cfg, singletons=False)
+            single, single_sizes = self._run(monkeypatch, suite, cfg, singletons=True)
+            assert max(sizes) > 1 and set(single_sizes) == {1}
+            assert len(stacked) == len(single) == 39 * (10 if "identity" in suite else 1)
+            for (name, trial, resid, ok), (name1, trial1, resid1, ok1) in zip(stacked, single):
+                assert (name, trial, ok) == (name1, trial1, ok1)
+                assert abs(resid - resid1) <= 1e-13 * max(1.0, abs(resid1)), (name, trial)
+
+    def test_planted_defect_fails_only_its_trial(self, monkeypatch):
+        import qgeo.verify
+
+        draw = qgeo.verify.random_instance
+        stack = qgeo.verify.stack_frames
+        planted, sizes = [], []
+
+        def non_hermitian_on_trial_5(rng, dim_max, k=None):
+            frame, a, b = draw(rng, dim_max, k)
+            planted.append(frame)
+            if len(planted) == 6:  # draws run in trial order
+                a = a + 1e-3j * np.eye(a.shape[0])
+            return frame, a, b
+
+        def recording_stack(frames, n):
+            if any(f is planted[5] for f in frames):
+                sizes.append(len(frames))
+            return stack(frames, n)
+
+        monkeypatch.setattr(qgeo.verify, "random_instance", non_hermitian_on_trial_5)
+        monkeypatch.setattr(qgeo.verify, "stack_frames", recording_stack)
+        results = run_identity_campaign(RunConfig(seed=7, trials=39))
+        assert tuple(r.name for r in results) == IDENTITY_SUITES
+        for r in results:
+            assert (r.passed, r.failed) == (38, 1), r.name
+            assert r.first_failure == ("NotHermitian", 5), r.name
+        # trial 5 shared a stack with other trials, then was replayed alone
+        assert sizes[0] > 1 and sizes[-1] == 1
+
+    def test_zero_padding_is_exact(self):
+        from qgeo.states import PurificationFrame
+
+        for trial in range(40):
+            rng = trial_rng(99, trial)
+            ctx = GeometryContext(hbar=1.0 if trial % 2 == 0 else 0.32)
+            frame, a, b = random_instance(rng, 8)
+            padded = PurificationFrame(np.vstack([frame.psi, np.zeros((3, frame.k))]),
+                                       frame.sigma)
+            pad = ((0, 3), (0, 3))
+            ref = _instance_terms(a, b, frame, ctx)
+            got = _instance_terms(np.pad(a, pad), np.pad(b, pad), padded, ctx)
+            for key, value in ref.items():
+                assert abs(got[key] - value) <= 1e-14 * max(1.0, abs(value)), key
+
+
 class TestVerifyExitCodes:
     def test_failure_exits_2(self, monkeypatch, capsys):
         failing = SuiteResult("forced")
@@ -223,6 +327,12 @@ class TestVerifyExitCodes:
         out = capsys.readouterr().out
         assert len(out.splitlines()) == 30  # header, 28 suites, verdict
         assert "gauge_invariance" in out and "FAILURES" in out
+        # last column: the first failure's cause and trial, "-" for a pass
+        causes = {line.split()[0]: line.split()[-1] for line in out.splitlines()[1:-1]}
+        assert causes["partial_trace_identity"] == "-"
+        assert causes["fiber_transitivity"].startswith("NotGauge@")
+        assert causes["connection_contract"].startswith("IdentityViolation@")
+        assert causes["gauge_invariance"].split("@")[0] in {"IdentityViolation", "NotGauge"}
 
     def test_env_scale_applies(self, monkeypatch):
         from qgeo.config import default_tolerances
