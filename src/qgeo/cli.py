@@ -34,7 +34,7 @@ from .serialize import (
     spectrum_to_json,
 )
 from .spin import abcd_experiment, ensemble_spec
-from .states import make_spectrum, purify
+from .states import DensityState, make_spectrum, purify
 from .uncertainty import decomposition, evolve
 from .verify import RunConfig, run_all, summary
 
@@ -103,15 +103,19 @@ def _spectrum_from_args(args: argparse.Namespace, tol: Tolerances):
     return make_spectrum(values, mults, tol)
 
 
+def _load_state(args: argparse.Namespace, tol: Tolerances) -> tuple[DensityState, GeometryContext]:
+    """The state file's state with the command line's spectrum and hbar
+    overrides applied, and its geometry context."""
+    state_obj = _read_json(args.state_file, "state file")
+    hbar_file, state = load_state(state_obj, spectrum=_spectrum_from_args(args, tol), tol=tol)
+    hbar = args.hbar if args.hbar is not None else hbar_file
+    return state, GeometryContext(hbar=hbar, tol=tol)
+
+
 def _cmd_bounds(args: argparse.Namespace) -> int:
     tol = _tolerances(args)
-    state_obj = _read_json(args.state_file, "state file")
-    obs_obj = _read_json(args.obs_file, "observable file")
-    override = _spectrum_from_args(args, tol)
-    hbar_file, state = load_state(state_obj, spectrum=override, tol=tol)
-    hbar = args.hbar if args.hbar is not None else hbar_file
-    ctx = GeometryContext(hbar=hbar, tol=tol)
-    observables = load_observables(obs_obj)
+    state, ctx = _load_state(args, tol)
+    observables = load_observables(_read_json(args.obs_file, "observable file"))
     frame = purify(state, tol)
 
     pairs = []
@@ -133,7 +137,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         report = decomposition(a, b, frame, ctx)
         key = f"{name_a},{name_b}"
         reports[key] = bound_report_to_json(
-            report, hbar=hbar,
+            report, hbar=ctx.hbar,
             inputs={"A": matrix_digest(a), "B": matrix_digest(b),
                     "rho": matrix_digest(state.rho)},
             tol=tol,
@@ -141,7 +145,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         print(f"{key:<16} {report.dA * report.dB:>12.6f} {report.geo_bound:>12.6f} "
               f"{report.rs_bound:>12.6f} {report.combined_bound:>12.6f}  {report.winner}")
     _write_out(args.out, {
-        "hbar": hbar,
+        "hbar": ctx.hbar,
         "spectrum": spectrum_to_json(state.sigma),
         "pairs": reports,
     })
@@ -192,13 +196,9 @@ def _cmd_spin_demo(args: argparse.Namespace) -> int:
 
 def _cmd_evolve(args: argparse.Namespace) -> int:
     tol = _tolerances(args)
-    state_obj = _read_json(args.state_file, "state file")
-    ham_obj = _read_json(args.hamiltonian_file, "hamiltonian file")
-    override = _spectrum_from_args(args, tol)
-    hbar_file, state = load_state(state_obj, spectrum=override, tol=tol)
-    hbar = args.hbar if args.hbar is not None else hbar_file
-    ctx = GeometryContext(hbar=hbar, tol=tol)
-    hamiltonian = matrix_from_json(ham_obj, "hamiltonian")
+    state, ctx = _load_state(args, tol)
+    hamiltonian = matrix_from_json(_read_json(args.hamiltonian_file, "hamiltonian file"),
+                                   "hamiltonian")
     probes = {}
     if args.probes_file:
         probes = load_observables(_read_json(args.probes_file, "probes file"))
@@ -207,13 +207,13 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
                     ctx=ctx, probes=probes)
     drift = result.max_drift
     residual = result.max_flow_residual
-    print(f"evolve: t={args.t}, steps={args.steps}, hbar={hbar}")
+    print(f"evolve: t={args.t}, steps={args.steps}, hbar={ctx.hbar}")
     print(f"max spectrum drift    = {drift:.3e} (gate {tol.spec:.3g})")
     print(f"max flow fd residual  = {residual:.3e} (gate {tol.flow:.3g})")
     payload = {
         "t": args.t,
         "steps": args.steps,
-        "hbar": hbar,
+        "hbar": ctx.hbar,
         "times": result.times.tolist(),
         "expectations": {k: v.tolist() for k, v in result.expectations.items()},
         "flow_residuals": {k: v.tolist() for k, v in result.flow_residuals.items()},

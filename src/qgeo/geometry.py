@@ -304,8 +304,8 @@ def _check_observables(a, n: int, tol: Tolerances) -> np.ndarray:
         raise NotHermitian(f"observable: relative Hermiticity defect "
                            f"{np.max(defect):.3e} > {tol.herm:.3e}")
     if a.shape[-1] != n:
-        raise NotTangent(f"observable is {a.shape[-1]} x {a.shape[-1]}, "
-                         f"frame lives in dimension {n}")
+        raise BadDims(f"observable is {a.shape[-1]} x {a.shape[-1]}, "
+                      f"frame lives in dimension {n}")
     return a
 
 

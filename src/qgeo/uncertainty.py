@@ -21,6 +21,7 @@ product identities.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -29,7 +30,7 @@ from .config import Tolerances
 from .errors import IdentityViolation, SpectrumDrift
 from .geometry import GeometryContext, hamiltonian_lift, pair_terms, split
 from .linalg import check_observable, frobenius, hermitian_eigensystem
-from .states import DensityState, PurificationFrame, frame_to_state
+from .states import DensityState, PurificationFrame, Spectrum, frame_to_state
 
 __all__ = [
     "BoundReport",
@@ -67,25 +68,29 @@ class BoundReport:
     winner: str
 
 
-def _trace(x: np.ndarray, y: np.ndarray) -> complex:
-    """Tr(x y) without forming the product."""
-    return complex(np.einsum("ij,ji->", x, y))
+def _moments(a: np.ndarray, a_rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """<A> and dA from A and A rho, over the trailing two axes."""
+    exp = np.trace(a_rho, axis1=-2, axis2=-1).real
+    second = np.einsum("...ij,...ji->...", a, a_rho).real
+    return exp, np.sqrt(np.maximum(0.0, second - exp * exp))
 
 
-def _moments(a: np.ndarray, a_rho: np.ndarray) -> tuple[float, float]:
-    """<A> and dA from A and A rho."""
-    exp = float(np.trace(a_rho).real)
-    second = _trace(a, a_rho).real
-    return exp, float(np.sqrt(max(0.0, second - exp * exp)))
+def _cov_com(a: np.ndarray, b: np.ndarray, a_rho: np.ndarray, b_rho: np.ndarray,
+             exp_a: np.ndarray, exp_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cov(A,B) and com(A,B) from Tr(A B rho), Tr(B A rho) and the
+    expectations; the Robertson-Schrodinger bound is hypot(cov, com)."""
+    ab = np.einsum("...ij,...ji->...", a, b_rho)
+    ba = np.einsum("...ij,...ji->...", b, a_rho)
+    return 0.5 * (ab.real + ba.real) - exp_a * exp_b, 0.5 * (ab.imag - ba.imag)
 
 
-def _rs(a: np.ndarray, b: np.ndarray, a_rho: np.ndarray, b_rho: np.ndarray) -> float:
-    """hypot(cov, com) from Tr(A B rho) and Tr(B A rho)."""
-    ab = _trace(a, b_rho)
-    ba = _trace(b, a_rho)
-    cov = 0.5 * (ab.real + ba.real) - float(np.trace(a_rho).real) * float(np.trace(b_rho).real)
-    com = 0.5 * (ab.imag - ba.imag)
-    return float(np.hypot(cov, com))
+def _bounds(g: np.ndarray, w: np.ndarray, cross: np.ndarray,
+            hbar: float) -> tuple[np.ndarray, np.ndarray]:
+    """Geometric and combined bounds from the brackets g_AB, w_AB and the
+    cross term xiA_perp . xiB_perp."""
+    geo = 0.5 * hbar * np.hypot(g, w)
+    diff = 2.0 * g * cross + cross * cross
+    return geo, 0.5 * hbar * np.sqrt(g**2 + w**2 + np.maximum(0.0, diff))
 
 
 def moments(a, state: DensityState, tol: Tolerances | None = None) -> tuple[float, float]:
@@ -94,14 +99,17 @@ def moments(a, state: DensityState, tol: Tolerances | None = None) -> tuple[floa
     Negative round-off under the square root is clamped to zero.
     """
     a = check_observable(a, state.n, tol)
-    return _moments(a, a @ state.rho)
+    exp, d = _moments(a, a @ state.rho)
+    return float(exp), float(d)
 
 
 def rs_bound(a, b, state: DensityState, tol: Tolerances | None = None) -> float:
     """Robertson-Schrodinger lower bound for dA*dB at the state."""
     a = check_observable(a, state.n, tol, "observable A")
     b = check_observable(b, state.n, tol, "observable B")
-    return _rs(a, b, a @ state.rho, b @ state.rho)
+    a_rho, b_rho = a @ state.rho, b @ state.rho
+    (exp_a, _), (exp_b, _) = _moments(a, a_rho), _moments(b, b_rho)
+    return float(np.hypot(*_cov_com(a, b, a_rho, b_rho, exp_a, exp_b)))
 
 
 def _winner(geo: float, rs: float, da: float, db: float, tol: Tolerances) -> str:
@@ -138,12 +146,11 @@ def decomposition(a, b, psi: PurificationFrame,
 
     # the trace side of both identities, from rho = psi psi† (pair_terms
     # has validated the observables)
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
+    a, b = (np.asarray(x, dtype=complex) for x in (a, b))
     rho = frame_to_state(psi).rho
     a_rho, b_rho = a @ rho, b @ rho
-    exp_a, d_a = _moments(a, a_rho)
-    exp_b, d_b = _moments(b, b_rho)
+    exp_a, d_a = (float(x) for x in _moments(a, a_rho))
+    exp_b, d_b = (float(x) for x in _moments(b, b_rho))
 
     quarter = 0.25 * hbar * hbar
     lhs1 = (d_a * d_b) ** 2
@@ -153,7 +160,7 @@ def decomposition(a, b, psi: PurificationFrame,
             f"uncertainty-product identity residual {abs(lhs1 - rhs1):.3e}"
         )
 
-    rs = _rs(a, b, a_rho, b_rho)
+    rs = float(np.hypot(*_cov_com(a, b, a_rho, b_rho, exp_a, exp_b)))
     lhs2 = rs * rs
     rhs2 = quarter * (g_ab**2 + w_ab**2 + 2.0 * g_ab * cross + cross**2)
     if abs(lhs2 - rhs2) > ctx.tol.identity * max(1.0, abs(lhs2), abs(rhs2)):
@@ -161,9 +168,7 @@ def decomposition(a, b, psi: PurificationFrame,
             f"covariance-commutator identity residual {abs(lhs2 - rhs2):.3e}"
         )
 
-    geo = 0.5 * hbar * float(np.hypot(g_ab, w_ab))
-    diff = 2.0 * g_ab * cross + cross * cross
-    combined = 0.5 * hbar * float(np.sqrt(g_ab**2 + w_ab**2 + max(0.0, diff)))
+    geo, combined = (float(x) for x in _bounds(g_ab, w_ab, cross, hbar))
 
     return BoundReport(
         expA=exp_a,
@@ -217,13 +222,20 @@ def classify(a, psi: PurificationFrame, ctx: GeometryContext | None = None) -> s
 
 @dataclass(frozen=True)
 class EvolutionResult:
-    """Trajectory data from a conjugation flow rho_j = U_j rho U_j†."""
+    """Trajectory data from a conjugation flow rho_j = U_j rho U_j†: the stack
+    ``rho`` of states on the orbit of ``sigma``, wrapped on first access as
+    ``states``."""
 
     times: np.ndarray
-    states: tuple[DensityState, ...]
+    rho: np.ndarray
+    sigma: Spectrum
     expectations: dict[str, np.ndarray]
     flow_residuals: dict[str, np.ndarray]
     spectrum_drift: np.ndarray
+
+    @cached_property
+    def states(self) -> tuple[DensityState, ...]:
+        return tuple(DensityState(r, self.sigma) for r in self.rho)
 
     @property
     def max_drift(self) -> float:
@@ -294,7 +306,8 @@ def evolve(h, state: DensityState, t: float, steps: int,
 
     return EvolutionResult(
         times=times,
-        states=tuple(DensityState(r, state.sigma) for r in rho),
+        rho=rho,
+        sigma=state.sigma,
         expectations=expectations,
         flow_residuals=residuals,
         spectrum_drift=drift,

@@ -11,11 +11,13 @@ bracket/xi-field pipeline, then checks that the uncertainty product
 dominates all three lower bounds and that the combined bound is exactly the
 pointwise maximum of the other two.
 
-The identity campaign and the connection suite evaluate their trials in
-stacks: trials of one rank k (and one hbar) are zero-padded to a common
-dimension and pushed through the stack-aware geometry oracle at once. The
-draws stay per trial, in trial order, so every random stream is the same as
-in a one-trial-at-a-time loop.
+The identity campaign, the two collapse suites and the connection suite
+evaluate their trials in stacks: trials of one rank k (and one hbar) are
+zero-padded to a common dimension and pushed through the stack-aware
+geometry oracle at once. The draws stay per trial, in trial order, so every
+random stream is the same as in a one-trial-at-a-time loop. The trace side
+of the identity and collapse suites is ``uncertainty``'s own (the statistics
+behind ``qgeo bounds``); only the brackets come from the oracle.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ from .states import (
     rank_one_partial_trace,
     stack_frames,
 )
-from .uncertainty import classify, evolve, moments, rs_bound
+from .uncertainty import _bounds, _cov_com, _moments, classify, evolve, moments
 
 __all__ = [
     "RunConfig",
@@ -154,13 +156,9 @@ class SuiteResult:
 Row = tuple[str, float, float]  # (suite name, residual, limit)
 
 
-def _drawn_rows(batch: list) -> list:
-    return batch
-
-
 def _campaign(cfg: RunConfig, suite_id: int, trials: int, names: list[str],
               draw: Callable[[np.random.Generator, int], object],
-              evaluate: Callable[[list], list[list[Row]]] = _drawn_rows,
+              evaluate: Callable[[list], list[list[Row]]] = list,
               key: Callable[[object], object] | None = None) -> list[SuiteResult]:
     """Run ``trials`` seeded trials feeding the suites in ``names``.
 
@@ -169,7 +167,7 @@ def _campaign(cfg: RunConfig, suite_id: int, trials: int, names: list[str],
     ``key(inputs)`` form one group and ``evaluate`` maps the group's list of
     inputs to each trial's (suite, residual, limit) rows in one call.
     Without one every trial is its own group, and ``draw`` may return the
-    rows itself (the default ``evaluate`` passes them on).
+    rows itself (the default ``evaluate``, ``list``, passes them on).
 
     A QGeoError in a trial's draw fails that trial in every suite it feeds.
     One raised by a group's evaluation replays the group trial by trial, so
@@ -478,9 +476,79 @@ def _instance_terms(a: np.ndarray, b: np.ndarray, frame: PurificationFrame,
 _IDENTITY_SUITES = [
     "identity_expectation", "identity_product", "identity_covariance",
     "identity_variance_product", "identity_rs_decomposition", "cauchy_schwarz",
-    "variance_floor", "bound_dominance", "combined_is_max",
-    "omega_from_horizontal",
+    "variance_floor", "bound_dominance", "combined_is_max", "omega_from_horizontal",
 ]
+
+
+def _hbar(trial: int) -> float:
+    """hbar alternates between 1 and 0.32 to catch hidden unit errors."""
+    return 1.0 if trial % 2 == 0 else 0.32
+
+
+def _bound_rows(tol: Tolerances, names: list[str], batch: list) -> list[list[Row]]:
+    """Rows of the identity and collapse suites in ``names`` for one group.
+
+    Every trial of ``batch`` is ``(hbar, frame, A, B, classify_residual)``
+    with the group's hbar. The group is zero-padded to one stack; the trace
+    side and the three bounds come from ``uncertainty``'s own statistics, the
+    brackets and xi-field products from the ambient oracle. An unknown name
+    in ``names`` raises KeyError.
+    """
+    hbars, frame_list, a_list, b_list, classified = zip(*batch)
+    hbar = hbars[0]
+    ctx = GeometryContext(hbar=hbar, tol=tol)
+    n = max(frame.n for frame in frame_list)
+    frames = stack_frames(frame_list, n)
+    a, b = (stack_padded(x, (n, n)) for x in (a_list, b_list))
+    t = _instance_terms(a, b, frames, ctx)
+    g, w, pp = t["g_ab"], t["w_ab"], t["pa_pb"]
+    rho = frame_to_state(frames).rho
+    a_rho, b_rho = a @ rho, b @ rho
+    exp_a, d_a = _moments(a, a_rho)
+    exp_b, d_b = _moments(b, b_rho)
+    cov, com = _cov_com(a, b, a_rho, b_rho, exp_a, exp_b)
+    rs = np.hypot(cov, com)
+    geo, combined = _bounds(g, w, pp, hbar)
+
+    def scaled(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        return np.abs(lhs - rhs) / np.maximum(np.maximum(1.0, np.abs(lhs)), np.abs(rhs))
+
+    half, quarter, root = 0.5 * hbar, 0.25 * hbar * hbar, np.sqrt(0.5 * hbar)
+    product = d_a * d_b
+    scale = np.maximum(1.0, product)
+    collapse = np.abs(geo - rs) / np.maximum(1.0, rs)
+    ident, dom, inv = tol.identity, tol.dominance, tol.invariance
+    columns = {
+        "identity_expectation": (np.maximum(scaled(exp_a, root * t["chi_a"]),
+                                            scaled(exp_b, root * t["chi_b"])), ident),
+        "identity_product": (np.maximum(scaled(cov + exp_a * exp_b, half * (g + t["xa_xb"])),
+                                        scaled(com, half * w)), ident),
+        "identity_covariance": (scaled(cov, half * (g + pp)), ident),
+        "identity_variance_product": (scaled(product**2, quarter * (
+            t["g_aa"] * t["g_bb"] + t["g_aa"] * t["pb_pb"] + t["g_bb"] * t["pa_pa"]
+            + t["pa_pa"] * t["pb_pb"])), ident),
+        "identity_rs_decomposition": (scaled(cov * cov + com * com, quarter * (
+            g**2 + w**2 + 2.0 * g * pp + pp**2)), ident),
+        "cauchy_schwarz": (np.maximum(0.0, (g**2 + t["w_hor"] ** 2) - t["g_aa"] * t["g_bb"])
+                           / np.maximum(1.0, t["g_aa"] * t["g_bb"]), dom),
+        "variance_floor": (np.maximum(0.0, half * t["g_aa"] - d_a * d_a)
+                           / np.maximum(1.0, d_a * d_a), dom),
+        "bound_dominance": (np.maximum(0.0, np.maximum(np.maximum(geo, rs), combined) - product)
+                            / scale, dom),
+        "combined_is_max": (np.abs(combined - np.maximum(geo, rs)) / scale, dom),
+        "omega_from_horizontal": (np.abs(w - t["w_hor"]) / np.maximum(1.0, np.abs(w)), inv),
+        "pure_state_collapse": (collapse, inv),
+        "parallel_collapse": (np.maximum(np.asarray(classified), collapse), inv),
+    }
+    return _stack_rows([(name, *columns[name]) for name in names])
+
+
+def _bound_campaign(cfg: RunConfig, suite_id: int, trials: int, names: list[str],
+                    draw: Callable[[np.random.Generator, int], tuple]) -> list[SuiteResult]:
+    """A campaign of ``_bound_rows`` trials, evaluated in (rank, hbar) groups."""
+    return _campaign(cfg, suite_id, trials, names, draw,
+                     lambda batch: _bound_rows(cfg.tol, names, batch),
+                     key=lambda inputs: (inputs[1].sigma.k, inputs[0]))
 
 
 def run_identity_campaign(cfg: RunConfig) -> list[SuiteResult]:
@@ -492,105 +560,22 @@ def run_identity_campaign(cfg: RunConfig) -> list[SuiteResult]:
     of one (rank, hbar) are evaluated as one zero-padded stack.
     """
 
-    def scaled(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        return np.abs(lhs - rhs) / np.maximum(np.maximum(1.0, np.abs(lhs)), np.abs(rhs))
-
     def draw(rng: np.random.Generator, trial: int):
-        hbar = 1.0 if trial % 2 == 0 else 0.32
-        return (hbar, *random_instance(rng, cfg.dim_max))
+        return (_hbar(trial), *random_instance(rng, cfg.dim_max), 0.0)
 
-    def evaluate(batch: list) -> list[list[Row]]:
-        hbars, frame_list, a_list, b_list = zip(*batch)
-        hbar = hbars[0]
-        ctx = GeometryContext(hbar=hbar, tol=cfg.tol)
-        n = max(frame.n for frame in frame_list)
-        frames = stack_frames(frame_list, n)
-        a = stack_padded(a_list, (n, n))
-        b = stack_padded(b_list, (n, n))
-        rho = frame_to_state(frames).rho
-        a_rho, b_rho = a @ rho, b @ rho
-        exp_a = np.einsum("...ii->...", a_rho).real
-        exp_b = np.einsum("...ii->...", b_rho).real
-        ab = np.einsum("...ij,...ji->...", a, b_rho)  # Tr(A B rho)
-        ba = np.einsum("...ij,...ji->...", b, a_rho)
-        sym = 0.5 * (ab.real + ba.real)
-        com = 0.5 * (ab.imag - ba.imag)
-        d_a = np.sqrt(np.maximum(0.0, np.einsum("...ij,...ji->...", a, a_rho).real
-                                 - exp_a * exp_a))
-        d_b = np.sqrt(np.maximum(0.0, np.einsum("...ij,...ji->...", b, b_rho).real
-                                 - exp_b * exp_b))
-        t = _instance_terms(a, b, frames, ctx)
-        half = 0.5 * hbar
-        quarter = 0.25 * hbar * hbar
-        root = np.sqrt(0.5 * hbar)
-        cov = sym - exp_a * exp_b
-        cs_slack = t["g_aa"] * t["g_bb"] - (t["g_ab"] ** 2 + t["w_hor"] ** 2)
-        floor_slack = d_a * d_a - half * t["g_aa"]
-
-        geo = half * np.hypot(t["g_ab"], t["w_ab"])
-        rs = np.hypot(cov, com)
-        diff = 2.0 * t["g_ab"] * t["pa_pb"] + t["pa_pb"] ** 2
-        combined = half * np.sqrt(t["g_ab"] ** 2 + t["w_ab"] ** 2 + np.maximum(0.0, diff))
-        product = d_a * d_b
-        scale = np.maximum(1.0, product)
-        columns = [
-            ("identity_expectation",
-             np.maximum(scaled(exp_a, root * t["chi_a"]), scaled(exp_b, root * t["chi_b"])),
-             cfg.tol.identity),
-            ("identity_product",
-             np.maximum(scaled(sym, half * (t["g_ab"] + t["xa_xb"])),
-                        scaled(com, half * t["w_ab"])),
-             cfg.tol.identity),
-            ("identity_covariance",
-             scaled(cov, half * (t["g_ab"] + t["pa_pb"])), cfg.tol.identity),
-            ("identity_variance_product",
-             scaled((d_a * d_b) ** 2,
-                    quarter * (t["g_aa"] * t["g_bb"] + t["g_aa"] * t["pb_pb"]
-                               + t["g_bb"] * t["pa_pa"] + t["pa_pa"] * t["pb_pb"])),
-             cfg.tol.identity),
-            ("identity_rs_decomposition",
-             scaled(cov * cov + com * com,
-                    quarter * (t["g_ab"] ** 2 + t["w_ab"] ** 2
-                               + 2.0 * t["g_ab"] * t["pa_pb"] + t["pa_pb"] ** 2)),
-             cfg.tol.identity),
-            ("cauchy_schwarz",
-             np.maximum(0.0, -cs_slack) / np.maximum(1.0, t["g_aa"] * t["g_bb"]),
-             cfg.tol.dominance),
-            ("variance_floor",
-             np.maximum(0.0, -floor_slack) / np.maximum(1.0, d_a * d_a), cfg.tol.dominance),
-            ("bound_dominance",
-             np.maximum(np.maximum(0.0, geo - product),
-                        np.maximum(rs - product, combined - product)) / scale,
-             cfg.tol.dominance),
-            ("combined_is_max", np.abs(combined - np.maximum(geo, rs)) / scale,
-             cfg.tol.dominance),
-            ("omega_from_horizontal",
-             np.abs(t["w_ab"] - t["w_hor"]) / np.maximum(1.0, np.abs(t["w_ab"])),
-             cfg.tol.invariance),
-        ]
-        return _stack_rows(columns)
-
-    return _campaign(cfg, _IDENT, cfg.trials, _IDENTITY_SUITES, draw, evaluate,
-                     key=lambda inputs: (inputs[1].sigma.k, inputs[0]))
+    return _bound_campaign(cfg, _IDENT, cfg.trials, _IDENTITY_SUITES, draw)
 
 
 def run_pure_collapse_suite(cfg: RunConfig) -> SuiteResult:
-    def rows(rng: np.random.Generator, trial: int) -> list[Row]:
-        hbar = 1.0 if trial % 2 == 0 else 0.32
-        ctx = GeometryContext(hbar=hbar, tol=cfg.tol)
-        frame, a, b = random_instance(rng, cfg.dim_max, k=1)
-        t = _instance_terms(a, b, frame, ctx)
-        geo = 0.5 * hbar * float(np.hypot(t["g_ab"], t["w_ab"]))
-        rs = rs_bound(a, b, frame_to_state(frame), cfg.tol)
-        return [("pure_state_collapse", abs(geo - rs) / max(1.0, rs), cfg.tol.invariance)]
+    def draw(rng: np.random.Generator, trial: int):
+        return (_hbar(trial), *random_instance(rng, cfg.dim_max, k=1), 0.0)
 
-    return _campaign(cfg, _PURE, cfg.fifth, ["pure_state_collapse"], rows)[0]
+    return _bound_campaign(cfg, _PURE, cfg.fifth, ["pure_state_collapse"], draw)[0]
 
 
 def run_parallel_collapse_suite(cfg: RunConfig) -> SuiteResult:
-    def rows(rng: np.random.Generator, trial: int) -> list[Row]:
-        hbar = 1.0 if trial % 2 == 0 else 0.32
-        ctx = GeometryContext(hbar=hbar, tol=cfg.tol)
+    def draw(rng: np.random.Generator, trial: int):
+        ctx = GeometryContext(hbar=_hbar(trial), tol=cfg.tol)
         frame, a, b = random_instance(rng, cfg.dim_max)
         while frame.sigma.l == 1 and frame.sigma.k == frame.n:
             # point orbit (maximally mixed full-rank state): no nonzero
@@ -598,13 +583,9 @@ def run_parallel_collapse_suite(cfg: RunConfig) -> SuiteResult:
             frame, a, b = random_instance(rng, cfg.dim_max)
         par = parallel_observable(a, frame, ctx)
         resid = 0.0 if classify(par, frame, ctx) == "parallel" else 1.0
-        t = _instance_terms(par, b, frame, ctx)
-        geo = 0.5 * hbar * float(np.hypot(t["g_ab"], t["w_ab"]))
-        rs = rs_bound(par, b, frame_to_state(frame), cfg.tol)
-        resid = max(resid, abs(geo - rs) / max(1.0, rs))
-        return [("parallel_collapse", resid, cfg.tol.invariance)]
+        return ctx.hbar, frame, par, b, resid
 
-    return _campaign(cfg, _PARALLEL, cfg.fifth, ["parallel_collapse"], rows)[0]
+    return _bound_campaign(cfg, _PARALLEL, cfg.fifth, ["parallel_collapse"], draw)[0]
 
 
 # --- invariance suites -------------------------------------------------------

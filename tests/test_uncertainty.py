@@ -3,7 +3,7 @@ import pytest
 
 import qgeo.linalg
 from qgeo.errors import BadDims, IdentityViolation, NotHermitian, SpectrumDrift
-from qgeo.geometry import GeometryContext, ambient_forms, brackets, hamiltonian_lift
+from qgeo.geometry import GeometryContext, ambient_forms, brackets, hamiltonian_lift, xi_field
 from qgeo.linalg import sample_hermitian
 from qgeo.spin import build_ensemble, build_spin
 from qgeo.states import (
@@ -257,6 +257,12 @@ class TestDimensionErrors:
         with pytest.raises(BadDims, match="probe 'B'"):
             evolve(spin.sx, state, t=0.1, steps=4, ctx=ctx, probes={"B": np.eye(2)})
 
+    @pytest.mark.parametrize("oracle", [hamiltonian_lift, xi_field, classify])
+    def test_oracle_observable(self, oracle, ctx, rng):
+        frame = random_frame(make_spectrum((0.6, 0.4)), 4, rng)
+        with pytest.raises(BadDims, match="dimension 4"):
+            oracle(sample_hermitian(5, rng), frame, ctx)
+
 
 class TestClassify:
     def test_sx_parallel(self, demo, ctx):
@@ -298,6 +304,14 @@ class TestEvolve:
                         probes={"Sz": spin.sz})
         assert result.max_drift <= 1e-12
         assert result.max_flow_residual <= 1e-5
+
+    def test_states_are_built_on_first_access(self, demo, ctx):
+        spin, state, _ = demo
+        result = evolve(spin.sx, state, t=0.5, steps=10, ctx=ctx)
+        assert "states" not in vars(result)
+        assert len(result.states) == 11 and result.states is result.states
+        for rho_j, state_j in zip(result.rho, result.states):
+            assert np.array_equal(state_j.rho, rho_j) and state_j.sigma is state.sigma
 
     def test_flow_derivative_matches_bracket_sign(self, demo, ctx):
         spin, state, _ = demo

@@ -9,6 +9,7 @@ from qgeo.geometry import GeometryContext
 from qgeo.linalg import trial_rng
 from qgeo.uncertainty import classify
 from qgeo.verify import (
+    _bound_rows,
     _instance_terms,
     RunConfig,
     SuiteResult,
@@ -255,17 +256,30 @@ class TestStacking:
             getattr(qgeo.verify, suite)(cfg)
         return rows, sizes
 
-    @pytest.mark.parametrize("suite", ["run_identity_campaign", "run_connection_suite"])
+    # rows per campaign of 39 trials: 10 identity suites, a fifth of the
+    # trials for each collapse suite
+    ROWS = {"run_identity_campaign": 390, "run_connection_suite": 39,
+            "run_pure_collapse_suite": 7, "run_parallel_collapse_suite": 7}
+
+    @pytest.mark.parametrize("suite", ["run_identity_campaign", "run_connection_suite",
+                                       "run_pure_collapse_suite",
+                                       "run_parallel_collapse_suite"])
     def test_stacks_match_stacks_of_one(self, monkeypatch, suite):
+        stacked_seeds = 0
         for seed in range(8):
             cfg = RunConfig(seed=seed, trials=39, dim_max=8)
             stacked, sizes = self._run(monkeypatch, suite, cfg, singletons=False)
             single, single_sizes = self._run(monkeypatch, suite, cfg, singletons=True)
-            assert max(sizes) > 1 and set(single_sizes) == {1}
-            assert len(stacked) == len(single) == 39 * (10 if "identity" in suite else 1)
+            assert set(single_sizes) == {1}
+            stacked_seeds += max(sizes) > 1
+            assert len(stacked) == len(single) == self.ROWS[suite]
             for (name, trial, resid, ok), (name1, trial1, resid1, ok1) in zip(stacked, single):
                 assert (name, trial, ok) == (name1, trial1, ok1)
                 assert abs(resid - resid1) <= 1e-13 * max(1.0, abs(resid1)), (name, trial)
+        # every seed forms a stack; the parallel suite's seven trials may all
+        # fall in distinct (rank, hbar) groups, as they do for one seed here
+        assert stacked_seeds == 8 or (suite == "run_parallel_collapse_suite"
+                                      and stacked_seeds == 7)
 
     def test_planted_defect_fails_only_its_trial(self, monkeypatch):
         import qgeo.verify
@@ -295,6 +309,31 @@ class TestStacking:
             assert r.first_failure == ("NotHermitian", 5), r.name
         # trial 5 shared a stack with other trials, then was replayed alone
         assert sizes[0] > 1 and sizes[-1] == 1
+
+    def test_planted_trace_fault_fails_identity_product(self, monkeypatch):
+        # the campaign's trace side is the one behind `qgeo bounds`: a fault
+        # there must fail the identity suites
+        import qgeo.uncertainty
+        import qgeo.verify
+
+        def swapped(a, b, a_rho, b_rho, exp_a, exp_b):
+            ba = np.einsum("...ij,...ji->...", b, a_rho)
+            ab = ba  # Tr(B A rho) in place of Tr(A B rho)
+            return 0.5 * (ab.real + ba.real) - exp_a * exp_b, 0.5 * (ab.imag - ba.imag)
+
+        for module in (qgeo.uncertainty, qgeo.verify):
+            monkeypatch.setattr(module, "_cov_com", swapped)
+        results = {r.name: r for r in run_identity_campaign(RunConfig(seed=7, trials=40))}
+        assert results["identity_product"].failed > 0
+        assert results["identity_product"].first_failure[0] == "residual"
+
+    def test_unknown_suite_name_raises(self):
+        frame, a, b = random_instance(trial_rng(3, 0), 4)
+        batch = [(1.0, frame, a, b, 0.0)]
+        assert _bound_rows(Tolerances(), ["pure_state_collapse"], batch)[0][0][0] == \
+            "pure_state_collapse"
+        with pytest.raises(KeyError, match="identity_produkt"):
+            _bound_rows(Tolerances(), ["identity_product", "identity_produkt"], batch)
 
     def test_zero_padding_is_exact(self):
         from qgeo.states import PurificationFrame
