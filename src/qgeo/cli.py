@@ -154,7 +154,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 def _cmd_spin_demo(args: argparse.Namespace) -> int:
     tol = _tolerances(args)
-    spec = ensemble_spec(args.s, _parse_floats(args.m), _parse_floats(args.p))
+    spec = ensemble_spec(args.s, _parse_floats(args.m), _parse_floats(args.p), tol=tol)
     ctx = GeometryContext(hbar=args.hbar, tol=tol)
     demo = abcd_experiment(spec, args.eps, ctx)
     print(f"spin demo: s={spec.s}, p={spec.p_list}, m={spec.m_list}, "

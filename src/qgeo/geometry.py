@@ -51,12 +51,13 @@ from .errors import (
     BasepointMismatch,
     IdentityViolation,
     NonPositive,
-    NotHermitian,
     NotTangent,
     SpectrumMismatch,
 )
 from .linalg import (
+    _complex_gaussian,
     check_anti_hermitian,
+    check_finite,
     check_observable,
     frobenius_norms,
     hermitian_eigensystem,
@@ -168,7 +169,7 @@ def random_tangent(base: PurificationFrame, rng: np.random.Generator) -> Ambient
     which lands exactly on the tangency constraint.
     """
     n, k = base.psi.shape
-    raw = (rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))) * np.sqrt(0.5)
+    raw = _complex_gaussian(n, k, rng)
     h = raw.conj().T @ base.psi + base.psi.conj().T @ raw
     p = base.sigma.full
     m = h / (p[:, None] + p[None, :])
@@ -247,9 +248,9 @@ def momentum_map(psi, xi, ctx: GeometryContext | None = None) -> float:
     unitaries U on the ancilla.
     """
     ctx = ctx or GeometryContext()
-    mat = psi.psi if isinstance(psi, PurificationFrame) else np.asarray(psi, dtype=complex)
-    x = xi.xi if isinstance(xi, GaugeElement) else np.asarray(xi, dtype=complex)
-    check_anti_hermitian(x, ctx.tol, "momentum argument")
+    mat = check_finite(psi.psi if isinstance(psi, PurificationFrame) else psi, "psi")
+    x = check_anti_hermitian(xi.xi if isinstance(xi, GaugeElement) else xi, ctx.tol,
+                             "momentum argument")
     value = 1j * ctx.hbar * np.trace(mat.conj().T @ mat @ x)
     return float(value.real)
 
@@ -291,24 +292,6 @@ def split(psi: PurificationFrame, x, ctx: GeometryContext | None = None
     return hor, vert
 
 
-def _check_observables(a, n: int, tol: Tolerances) -> np.ndarray:
-    """One Hermitian n x n observable, or a stack of them."""
-    a = np.asarray(a, dtype=complex)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise BadDims(f"observable must be square, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise BadDims("observable contains non-finite entries")
-    norm = frobenius_norms(a)
-    defect = frobenius_norms(a - _adjoint(a)) / np.where(norm == 0.0, 1.0, norm)
-    if (defect > tol.herm).any():
-        raise NotHermitian(f"observable: relative Hermiticity defect "
-                           f"{np.max(defect):.3e} > {tol.herm:.3e}")
-    if a.shape[-1] != n:
-        raise BadDims(f"observable is {a.shape[-1]} x {a.shape[-1]}, "
-                      f"frame lives in dimension {n}")
-    return a
-
-
 def hamiltonian_lift(a, psi: PurificationFrame,
                      ctx: GeometryContext | None = None) -> AmbientTangent:
     """Gauge-invariant lift X_A(psi) = A psi / (i hbar) of an observable.
@@ -316,7 +299,7 @@ def hamiltonian_lift(a, psi: PurificationFrame,
     Tangency holds automatically for Hermitian A and is checked.
     """
     ctx = ctx or GeometryContext()
-    a = _check_observables(a, psi.psi.shape[-2], ctx.tol)
+    a = check_observable(a, psi.psi.shape[-2], ctx.tol)
     return ambient_tangent((a @ psi.psi) / (1j * ctx.hbar), psi, ctx.tol)
 
 

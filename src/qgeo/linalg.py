@@ -21,8 +21,6 @@ __all__ = [
     "frobenius_norms",
     "stack_padded",
     "check_finite",
-    "check_square",
-    "hermiticity_defect",
     "check_hermitian",
     "check_observable",
     "check_anti_hermitian",
@@ -74,49 +72,62 @@ def check_finite(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def check_square(m: np.ndarray, name: str = "matrix") -> np.ndarray:
-    m = check_finite(m, name)
-    if m.shape[0] != m.shape[1]:
-        raise BadDims(f"{name} must be square, got shape {m.shape}")
-    return m
-
-
-def hermiticity_defect(m: np.ndarray) -> float:
-    """Relative defect |M - M†|_F / |M|_F (zero matrix has defect 0)."""
-    norm = frobenius(m)
-    if norm == 0.0:
-        return 0.0
-    return frobenius(m - m.conj().T) / norm
-
-
-def check_hermitian(m: np.ndarray, tol: Tolerances | None = None,
-                    name: str = "matrix") -> np.ndarray:
+def _check_defect(m, tol: Tolerances | None, name: str, anti: bool = False,
+                  stack: bool = False) -> np.ndarray:
+    """Finite square matrix, or with ``stack`` a stack of them, whose relative
+    defect |M - M†|_F / |M|_F (|M + M†|_F / |M|_F if ``anti``) is within
+    tol.herm in every slice; a zero matrix has defect 0."""
     tol = tol or default_tolerances()
-    m = check_square(m, name)
-    defect = hermiticity_defect(m)
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 and not (stack and m.ndim > 2):
+        raise BadDims(f"{name} must be 2-dimensional, got shape {m.shape}")
+    # Python floats for one matrix: observables are checked once per pair,
+    # where the stack form's array overhead would cost more than the check
+    one = m.ndim == 2
+    norm = frobenius(m) if one else frobenius_norms(m)
+    # a finite sum of squares has finite terms, so the entries are scanned
+    # only when a norm is not finite (a NaN, an infinity or an overflow)
+    if not (math.isfinite(norm if one else norm.sum()) or np.isfinite(m).all()):
+        raise BadDims(f"{name} contains non-finite entries")
+    if m.shape[-1] != m.shape[-2]:
+        raise BadDims(f"{name} must be square, got shape {m.shape}")
+    adj = m.conj().swapaxes(-1, -2)
+    diff = m + adj if anti else m - adj
+    if one:
+        defect = frobenius(diff) / norm if norm else 0.0
+    else:
+        # the relative defects are divided out only for a failing stack's message
+        gaps = frobenius_norms(diff)
+        defect = 0.0
+        if (gaps > tol.herm * norm).any():
+            defect = float(np.max(gaps / np.where(norm == 0.0, 1.0, norm)))
     if defect > tol.herm:
+        if anti:
+            raise NotAntiHermitian(f"{name}: anti-Hermiticity defect {defect:.3e} > {tol.herm:.3e}")
         raise NotHermitian(f"{name}: relative Hermiticity defect {defect:.3e} > {tol.herm:.3e}")
     return m
 
 
+def check_hermitian(m: np.ndarray, tol: Tolerances | None = None,
+                    name: str = "matrix") -> np.ndarray:
+    return _check_defect(m, tol, name)
+
+
 def check_observable(m: np.ndarray, n: int, tol: Tolerances | None = None,
                      name: str = "observable") -> np.ndarray:
-    """Hermitian n x n matrix: an observable on an n-level system."""
-    m = check_hermitian(np.asarray(m, dtype=complex), tol, name)
-    if m.shape[0] != n:
-        raise BadDims(f"{name} is {m.shape[0]} x {m.shape[0]}, the state lives in dimension {n}")
+    """Hermitian n x n matrix, an observable on an n-level system, or a stack
+    of them (every slice is checked)."""
+    m = np.asarray(m, dtype=complex)
+    # one matrix goes through check_hermitian, whose calls the benchmark tracer counts
+    m = check_hermitian(m, tol, name) if m.ndim == 2 else _check_defect(m, tol, name, stack=True)
+    if m.shape[-1] != n:
+        raise BadDims(f"{name} is {m.shape[-1]} x {m.shape[-1]}, the state lives in dimension {n}")
     return m
 
 
 def check_anti_hermitian(m: np.ndarray, tol: Tolerances | None = None,
                          name: str = "matrix") -> np.ndarray:
-    tol = tol or default_tolerances()
-    m = check_square(m, name)
-    norm = frobenius(m)
-    defect = 0.0 if norm == 0.0 else frobenius(m + m.conj().T) / norm
-    if defect > tol.herm:
-        raise NotAntiHermitian(f"{name}: anti-Hermiticity defect {defect:.3e} > {tol.herm:.3e}")
-    return m
+    return _check_defect(m, tol, name, anti=True)
 
 
 def hermitian_eigensystem(m: np.ndarray,
@@ -129,7 +140,10 @@ def hermitian_eigensystem(m: np.ndarray,
 
     Returns ``(values, vectors)`` with ``m = vectors @ diag(values) @ vectors†``.
     """
-    a = check_hermitian(m, tol)
+    return _eigh_descending(check_hermitian(m, tol))
+
+
+def _eigh_descending(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     values, vectors = np.linalg.eigh(0.5 * (a + a.conj().T))
     order = np.argsort(-values, kind="stable")
     return values[order], vectors[:, order]
@@ -140,17 +154,17 @@ def unitary_exponential_family(x: np.ndarray, tol: Tolerances | None = None):
 
     Diagonalizes the Hermitian matrix iX once and exponentiates its
     eigenvalues, so every exp(t X) is unitary to eigensolver accuracy and
-    all points of the flow share one eigendecomposition.
+    all points of the flow share one eigendecomposition. An array of times
+    gives the stack of unitaries, one per time.
     """
-    tol = tol or default_tolerances()
     x = check_anti_hermitian(x, tol, "generator")
-    h = 1j * x  # Hermitian
-    values, vectors = hermitian_eigensystem(h, tol)
+    # iX has X's relative defect, which the check bounds, so it is not checked again
+    values, vectors = _eigh_descending(1j * x)
     vh = vectors.conj().T
 
-    def at(t: float) -> np.ndarray:
+    def at(t) -> np.ndarray:
         # exp(tX) = exp(-it(iX))
-        return (vectors * np.exp(-1j * t * values)) @ vh
+        return (vectors * np.exp(-1j * np.multiply.outer(t, values))[..., None, :]) @ vh
 
     return at
 

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadSpin, IdentityViolation, NonPositive, NotDescending, NotNormalized
+from .config import Tolerances
+from .errors import BadSpin, IdentityViolation, NonPositive
 from .geometry import GeometryContext, pair_terms
 from .states import DensityState, PurificationFrame, Spectrum, make_spectrum
 from .uncertainty import BoundReport, decomposition, moments
@@ -96,11 +97,13 @@ class EnsembleSpec:
         return len(self.p_list)
 
     def spectrum(self) -> Spectrum:
-        return make_spectrum(self.p_list)
+        # the weights were validated by ensemble_spec, at its tolerances
+        return Spectrum(self.p_list, (1,) * self.k)
 
 
-def ensemble_spec(s: float, m_list, p_list) -> EnsembleSpec:
-    """Validate ensemble data."""
+def ensemble_spec(s: float, m_list, p_list, tol: Tolerances | None = None) -> EnsembleSpec:
+    """Validate ensemble data; the weights form a nondegenerate spectrum
+    (``make_spectrum`` at ``tol``)."""
     s = _check_half_integer(s)
     ms = tuple(float(m) for m in m_list)
     ps = tuple(float(p) for p in p_list)
@@ -111,12 +114,7 @@ def ensemble_spec(s: float, m_list, p_list) -> EnsembleSpec:
             raise BadSpin(f"m={m} is not a magnetic quantum number for s={s}")
     if len(set(ms)) != len(ms):
         raise BadSpin(f"magnetic quantum numbers must be distinct, got {ms}")
-    if any(p <= 0 for p in ps):
-        raise NonPositive(f"weights must be positive, got {ps}")
-    if any(ps[i] <= ps[i + 1] for i in range(len(ps) - 1)):
-        raise NotDescending(f"weights must strictly descend, got {ps}")
-    if abs(sum(ps) - 1.0) > 1e-12:
-        raise NotNormalized(f"weights sum to {sum(ps)!r}, expected 1")
+    make_spectrum(ps, tol=tol)
     return EnsembleSpec(s=s, m_list=ms, p_list=ps)
 
 

@@ -215,11 +215,21 @@ class GaugeElement:
     sigma: Spectrum
 
 
+def _certify_spectrum(values: np.ndarray, sigma: Spectrum, tol: Tolerances) -> None:
+    """The n descending eigenvalues of a state equal sigma zero-padded to n,
+    within the absolute spectrum tolerance."""
+    dev = np.max(np.abs(values - sigma.padded(len(values))))
+    if dev > tol.spec:
+        raise SpectrumMismatch(
+            f"eigenvalues deviate from declared spectrum by {dev:.3e} > {tol.spec:.3e}"
+        )
+
+
 def density_state(rho, sigma: Spectrum, tol: Tolerances | None = None) -> DensityState:
     """Validate rho against sigma: Hermitian, trace one, PSD, eigenvalues
     equal to the padded spectrum within the absolute spectrum tolerance."""
     tol = tol or default_tolerances()
-    rho = check_hermitian(np.asarray(rho, dtype=complex), tol, "rho")
+    rho = check_hermitian(rho, tol, "rho")
     n = rho.shape[0]
     if sigma.k > n:
         raise BadDims(f"spectrum rank {sigma.k} exceeds dimension {n}")
@@ -229,18 +239,14 @@ def density_state(rho, sigma: Spectrum, tol: Tolerances | None = None) -> Densit
     values, _ = hermitian_eigensystem(rho, tol)
     if values[-1] < -tol.trace:
         raise SpectrumMismatch(f"rho not PSD: min eigenvalue {values[-1]:.3e}")
-    dev = np.max(np.abs(values - sigma.padded(n)))
-    if dev > tol.spec:
-        raise SpectrumMismatch(
-            f"eigenvalues deviate from declared spectrum by {dev:.3e} > {tol.spec:.3e}"
-        )
+    _certify_spectrum(values, sigma, tol)
     return DensityState(rho, sigma)
 
 
 def purification_frame(psi, sigma: Spectrum, tol: Tolerances | None = None) -> PurificationFrame:
     """Validate psi†psi = P and wrap."""
     tol = tol or default_tolerances()
-    psi = check_finite(np.asarray(psi, dtype=complex), "psi")
+    psi = check_finite(psi, "psi")
     n, k = psi.shape
     if k != sigma.k:
         raise BadDims(f"frame has {k} columns, spectrum rank is {sigma.k}")
@@ -255,7 +261,7 @@ def purification_frame(psi, sigma: Spectrum, tol: Tolerances | None = None) -> P
 def gauge_element(xi, sigma: Spectrum, tol: Tolerances | None = None) -> GaugeElement:
     """Validate anti-Hermiticity and commutation with P (block diagonality)."""
     tol = tol or default_tolerances()
-    xi = check_finite(np.asarray(xi, dtype=complex), "xi")
+    xi = check_finite(xi, "xi")
     if xi.shape != (sigma.k, sigma.k):
         raise BadDims(f"gauge element must be {sigma.k} x {sigma.k}, got {xi.shape}")
     norm = frobenius(xi)
@@ -285,12 +291,7 @@ def frame_from_eigensystem(values: np.ndarray, vectors: np.ndarray,
     """Build the canonical frame psi = sum_j sqrt(p_j) |v_j><j| from a
     descending eigensystem, after certifying the values against sigma."""
     tol = tol or default_tolerances()
-    n = vectors.shape[0]
-    dev = np.max(np.abs(values - sigma.padded(n)))
-    if dev > tol.spec:
-        raise SpectrumMismatch(
-            f"eigenvalues deviate from declared spectrum by {dev:.3e} > {tol.spec:.3e}"
-        )
+    _certify_spectrum(values, sigma, tol)
     k = sigma.k
     cols = _fix_column_phases(vectors[:, :k])
     psi = cols * np.sqrt(sigma.full)[None, :]
@@ -327,7 +328,7 @@ def gauge_act(frame: PurificationFrame, u: np.ndarray,
     U must be unitary and commute with P; the projected state is unchanged.
     """
     tol = tol or default_tolerances()
-    u = check_finite(np.asarray(u, dtype=complex), "U")
+    u = check_finite(u, "U")
     k = frame.k
     if u.shape != (k, k):
         raise BadDims(f"gauge unitary must be {k} x {k}, got {u.shape}")

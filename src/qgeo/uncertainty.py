@@ -29,7 +29,7 @@ import numpy as np
 from .config import Tolerances
 from .errors import IdentityViolation, SpectrumDrift
 from .geometry import GeometryContext, hamiltonian_lift, pair_terms, split
-from .linalg import check_observable, frobenius, hermitian_eigensystem
+from .linalg import check_observable, frobenius, unitary_exponential_family
 from .states import DensityState, PurificationFrame, Spectrum, frame_to_state
 
 __all__ = [
@@ -254,8 +254,8 @@ def evolve(h, state: DensityState, t: float, steps: int,
            probes: Mapping[str, np.ndarray] | None = None) -> EvolutionResult:
     """Conjugation flow rho_j = U_j rho U_j† with U_j = exp(-i H t_j / hbar).
 
-    One eigendecomposition H = V diag(lambda) V† gives every exact
-    exponential U_j = V diag(exp(-i lambda t_j / hbar)) V† at once, so
+    The unitaries are ``linalg.unitary_exponential_family`` of -iH/hbar on
+    the whole time grid: exact exponentials from one eigendecomposition, so
     staying on the isospectral orbit is an identity, not an integrator
     property. The spectrum of every rho_j is certified independently of the
     flow by one batched eigensolve; drift beyond tol.spec raises
@@ -279,9 +279,7 @@ def evolve(h, state: DensityState, t: float, steps: int,
 
     hbar = ctx.hbar
     times = np.linspace(0.0, t, steps + 1)
-    values, vectors = hermitian_eigensystem(h, ctx.tol)
-    phases = np.exp(-1j * np.outer(times, values) / hbar)
-    flow = np.einsum("ak,sk,bk->sab", vectors, phases, vectors.conj())
+    flow = unitary_exponential_family(h / (1j * hbar), ctx.tol)(times)
     rho = flow @ state.rho @ flow.conj().swapaxes(-1, -2)
     rho = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
 

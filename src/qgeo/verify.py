@@ -77,7 +77,6 @@ __all__ = [
     "random_spectrum",
     "random_instance",
     "parallel_observable",
-    "perpendicular_observable",
     "representative_scalars",
     "run_all",
     "summary",
@@ -259,15 +258,6 @@ def parallel_observable(a: np.ndarray, frame: PurificationFrame,
     inv = 1.0 / frame.sigma.full
     corr = frame.psi @ (d * inv[:, None] * inv[None, :]) @ frame.psi.conj().T
     out = a - corr
-    return 0.5 * (out + out.conj().T)
-
-
-def perpendicular_observable(frame: PurificationFrame, rng: np.random.Generator,
-                             ctx: GeometryContext) -> np.ndarray:
-    """Observable whose lift is exactly psi*xi for a random gauge element."""
-    xi = random_gauge_algebra(frame.sigma, rng).xi
-    inv = 1.0 / frame.sigma.full
-    out = 1j * ctx.hbar * frame.psi @ (inv[:, None] * xi) @ frame.psi.conj().T
     return 0.5 * (out + out.conj().T)
 
 

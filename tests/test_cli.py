@@ -122,6 +122,13 @@ class TestSpinDemoCommand:
         assert main(["spin-demo", "--s", "1", "--p", "0.5,0.5", "--m", "1,0",
                      "--eps", "0.25"]) == 1
 
+    def test_tol_scale_reaches_the_weights(self, capsys):
+        args = ["spin-demo", "--s", "1", "--p", "0.7,0.3000000001", "--m", "1,0",
+                "--eps", "0.25"]
+        assert main(args) == 1
+        assert "NotNormalized" in capsys.readouterr().err
+        assert main(args + ["--tol-scale", "1e6"]) == 0
+
     def test_zero_eps_exit_1(self):
         assert main(["spin-demo", "--s", "1", "--p", "0.7,0.3", "--m", "1,0",
                      "--eps", "0"]) == 1

@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgeo.errors import BadDims, NotAntiHermitian, NotHermitian
+from qgeo.geometry import momentum_map
 from qgeo.linalg import (
+    check_observable,
     frobenius,
     hermitian_eigensystem,
     make_rng,
@@ -14,6 +16,7 @@ from qgeo.linalg import (
     trial_rng,
     unitary_exponential_family,
 )
+from qgeo.states import density_state, make_spectrum
 
 
 class TestEigensystem:
@@ -83,6 +86,66 @@ class TestEigensystem:
         assert np.allclose(vectors, np.eye(3))
 
 
+def _with_fault(m: np.ndarray, fault: str) -> np.ndarray:
+    m = m.copy()
+    if fault == "non_hermitian":
+        m[0, -1] += 0.5
+    elif fault == "non_finite":
+        m[1, 1] = np.nan
+    return m
+
+
+def _accepts(m, n: int) -> bool:
+    try:
+        check_observable(m, n)
+    except NotHermitian:
+        return False
+    return True
+
+
+class TestCheckObservable:
+    @pytest.mark.parametrize("stacked", [False, True], ids=["matrix", "stack"])
+    @pytest.mark.parametrize("fault, exc, match", [
+        ("non_hermitian", NotHermitian, "obs 'A'"),
+        ("wrong_size", BadDims, "dimension"),
+        ("non_finite", BadDims, "non-finite"),
+    ])
+    def test_rejects_bad_input(self, stacked, fault, exc, match):
+        rng = make_rng(11)
+        n = 4 if fault == "wrong_size" else 3
+        good = sample_hermitian(n, rng)
+        bad = _with_fault(sample_hermitian(n, rng), fault)
+        assert np.array_equal(check_observable(good, n), good)
+        m = np.stack([good, bad, good]) if stacked else bad
+        with pytest.raises(exc, match=match):
+            check_observable(m, 3, name="obs 'A'")
+
+    def test_stack_decision_matches_slices(self):
+        rng = make_rng(12)
+        n = 3
+        for _ in range(40):
+            slices = [sample_hermitian(n, rng) + eps * sample_hermitian(n, rng) * 1j
+                      for eps in rng.choice([0.0, 1e-13, 3e-12, 1e-6], size=3)]
+            stack = np.stack(slices)
+            assert _accepts(stack, n) == all(_accepts(m, n) for m in slices)
+            if _accepts(stack, n):
+                assert np.array_equal(check_observable(stack, n), stack)
+
+
+@pytest.mark.parametrize("call", [
+    hermitian_eigensystem,
+    lambda m: density_state(m, make_spectrum([0.7, 0.3])),
+    lambda m: unitary_exponential_family(1j * m),
+    lambda m: momentum_map(m, 1j * np.eye(2)),
+    lambda m: momentum_map(np.eye(2), 1j * m),
+], ids=["hermitian_eigensystem", "density_state", "unitary_exponential_family",
+        "momentum_map_psi", "momentum_map_xi"])
+def test_one_matrix_functions_reject_stacks(call):
+    stack = np.stack([np.diag([0.7, 0.3]), np.diag([0.7, 0.3])]).astype(complex)
+    with pytest.raises(BadDims):
+        call(stack)
+
+
 class TestUnitaryExponential:
     def test_zero_generator(self):
         assert np.allclose(unitary_exponential_family(np.zeros((2, 2)))(1.0), np.eye(2))
@@ -100,6 +163,13 @@ class TestUnitaryExponential:
     def test_rejects_non_anti_hermitian(self):
         with pytest.raises(NotAntiHermitian):
             unitary_exponential_family(np.eye(2))
+
+    def test_time_array_stacks_scalar_calls(self):
+        rng = make_rng(13)
+        for n in range(1, 17):
+            flow = unitary_exponential_family(1j * sample_hermitian(n, rng))
+            ts = rng.uniform(-2.0, 2.0, size=5)
+            assert np.array_equal(flow(ts), np.stack([flow(t) for t in ts]))
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000), s=st.floats(-1, 1), t=st.floats(-1, 1))

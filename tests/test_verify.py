@@ -14,7 +14,6 @@ from qgeo.verify import (
     RunConfig,
     SuiteResult,
     parallel_observable,
-    perpendicular_observable,
     random_instance,
     random_spectrum,
     run_all,
@@ -82,13 +81,6 @@ class TestGenerators:
         while frame.sigma.l == 1 and frame.sigma.k == frame.n:
             frame, a, _ = random_instance(rng, 6)
         assert classify(parallel_observable(a, frame, ctx), frame, ctx) == "parallel"
-
-    def test_perpendicular_observable_classifies(self):
-        rng = trial_rng(23)
-        ctx = GeometryContext()
-        frame, _, _ = random_instance(rng, 6)
-        perp = perpendicular_observable(frame, rng, ctx)
-        assert classify(perp, frame, ctx) == "perpendicular"
 
 
 class TestCampaign:
