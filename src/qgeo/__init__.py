@@ -44,7 +44,6 @@ from .geometry import (
 )
 from .linalg import (
     hermitian_eigensystem,
-    make_rng,
     trial_rng,
 )
 from .spin import (

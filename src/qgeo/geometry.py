@@ -278,18 +278,17 @@ def connection(psi: PurificationFrame, x, ctx: GeometryContext | None = None) ->
 
 
 def split(psi: PurificationFrame, x, ctx: GeometryContext | None = None
-          ) -> tuple[AmbientTangent, AmbientTangent]:
-    """Horizontal/vertical decomposition X = hor + psi A_psi(X).
+          ) -> tuple[AmbientTangent, GaugeElement]:
+    """Horizontal part and connection value of X = hor + psi A_psi(X).
 
-    The sum reproduces X exactly; the horizontal part is G-orthogonal to
-    every gauge direction.
+    Returns (hor, xi) with xi = A_psi(X); the vertical part is psi xi, and
+    hor + psi xi reproduces X exactly. The horizontal part is G-orthogonal
+    to every gauge direction.
     """
     ctx = ctx or GeometryContext()
     xt = _resolve_tangent(psi, x, ctx.tol)
     xi = connection(psi, xt, ctx)
-    vert = AmbientTangent(psi.psi @ xi.xi, psi)
-    hor = AmbientTangent(xt.x - vert.x, psi)
-    return hor, vert
+    return AmbientTangent(xt.x - psi.psi @ xi.xi, psi), xi
 
 
 def hamiltonian_lift(a, psi: PurificationFrame,
@@ -303,6 +302,13 @@ def hamiltonian_lift(a, psi: PurificationFrame,
     return ambient_tangent((a @ psi.psi) / (1j * ctx.hbar), psi, ctx.tol)
 
 
+def _chi_parts(xi: GaugeElement, ctx: GeometryContext) -> tuple[np.ndarray, GaugeElement]:
+    """chi . xi and the chi-orthogonal part xi - (chi . xi) chi, per slice."""
+    c = chi(xi.sigma, ctx.hbar)
+    coeff = inertia_inner(c, xi, ctx)
+    return coeff, GaugeElement(xi.xi - np.asarray(coeff)[..., None, None] * c.xi, xi.sigma)
+
+
 def xi_field(a, psi: PurificationFrame, ctx: GeometryContext | None = None
              ) -> tuple[GaugeElement, GaugeElement]:
     """Gauge-algebra value of an observable's lift and its chi-orthogonal part.
@@ -313,10 +319,7 @@ def xi_field(a, psi: PurificationFrame, ctx: GeometryContext | None = None
     """
     ctx = ctx or GeometryContext()
     xi = connection(psi, hamiltonian_lift(a, psi, ctx), ctx)
-    c = chi(psi.sigma, ctx.hbar)
-    coeff = inertia_inner(c, xi, ctx)
-    perp = GaugeElement(xi.xi - np.asarray(coeff)[..., None, None] * c.xi, psi.sigma)
-    return xi, perp
+    return xi, _chi_parts(xi, ctx)[1]
 
 
 def pair_terms(a, b, psi: PurificationFrame,

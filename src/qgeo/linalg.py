@@ -26,7 +26,6 @@ __all__ = [
     "check_anti_hermitian",
     "hermitian_eigensystem",
     "unitary_exponential_family",
-    "make_rng",
     "trial_rng",
     "sample_hermitian",
     "sample_haar_unitary",
@@ -130,8 +129,8 @@ def check_anti_hermitian(m: np.ndarray, tol: Tolerances | None = None,
     return _check_defect(m, tol, name, anti=True)
 
 
-def hermitian_eigensystem(m: np.ndarray,
-                          tol: Tolerances | None = None) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eigensystem(m: np.ndarray, tol: Tolerances | None = None,
+                          name: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and orthonormal eigenvectors of a Hermitian matrix.
 
     LAPACK via ``numpy.linalg.eigh`` on the exactly Hermitian part
@@ -140,7 +139,7 @@ def hermitian_eigensystem(m: np.ndarray,
 
     Returns ``(values, vectors)`` with ``m = vectors @ diag(values) @ vectors†``.
     """
-    return _eigh_descending(check_hermitian(m, tol))
+    return _eigh_descending(check_hermitian(m, tol, name))
 
 
 def _eigh_descending(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -157,8 +156,11 @@ def unitary_exponential_family(x: np.ndarray, tol: Tolerances | None = None):
     all points of the flow share one eigendecomposition. An array of times
     gives the stack of unitaries, one per time.
     """
-    x = check_anti_hermitian(x, tol, "generator")
-    # iX has X's relative defect, which the check bounds, so it is not checked again
+    return _unitary_flow(check_anti_hermitian(x, tol, "generator"))
+
+
+def _unitary_flow(x: np.ndarray):
+    """``unitary_exponential_family`` of a checked X (iX has X's defect)."""
     values, vectors = _eigh_descending(1j * x)
     vh = vectors.conj().T
 
@@ -170,11 +172,6 @@ def unitary_exponential_family(x: np.ndarray, tol: Tolerances | None = None):
 
 
 # --- seeded sampling ---------------------------------------------------------
-
-def make_rng(seed: int) -> np.random.Generator:
-    """Deterministic generator; identical seeds give identical streams."""
-    return np.random.default_rng(seed)
-
 
 def trial_rng(seed: int, *path: int) -> np.random.Generator:
     """Generator derived from (seed, *path), e.g. per (suite, trial).

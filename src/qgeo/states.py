@@ -28,7 +28,6 @@ from .errors import (
 )
 from .linalg import (
     check_finite,
-    check_hermitian,
     frobenius,
     hermitian_eigensystem,
     sample_haar_unitary,
@@ -229,14 +228,15 @@ def density_state(rho, sigma: Spectrum, tol: Tolerances | None = None) -> Densit
     """Validate rho against sigma: Hermitian, trace one, PSD, eigenvalues
     equal to the padded spectrum within the absolute spectrum tolerance."""
     tol = tol or default_tolerances()
-    rho = check_hermitian(rho, tol, "rho")
+    rho = np.asarray(rho, dtype=complex)
+    # the eigensolve checks rho (shape, finiteness, Hermiticity) first
+    values, _ = hermitian_eigensystem(rho, tol, "rho")
     n = rho.shape[0]
     if sigma.k > n:
         raise BadDims(f"spectrum rank {sigma.k} exceeds dimension {n}")
     tr = np.trace(rho)
     if abs(tr - 1.0) > tol.trace:
         raise NotNormalized(f"trace(rho) = {tr!r}, expected 1")
-    values, _ = hermitian_eigensystem(rho, tol)
     if values[-1] < -tol.trace:
         raise SpectrumMismatch(f"rho not PSD: min eigenvalue {values[-1]:.3e}")
     _certify_spectrum(values, sigma, tol)

@@ -27,9 +27,9 @@ from typing import Mapping
 import numpy as np
 
 from .config import Tolerances
-from .errors import IdentityViolation, SpectrumDrift
+from .errors import BadDims, IdentityViolation, SpectrumDrift
 from .geometry import GeometryContext, hamiltonian_lift, pair_terms, split
-from .linalg import check_observable, frobenius, unitary_exponential_family
+from .linalg import _unitary_flow, check_observable, frobenius
 from .states import DensityState, PurificationFrame, Spectrum, frame_to_state
 
 __all__ = [
@@ -212,8 +212,8 @@ def classify(a, psi: PurificationFrame, ctx: GeometryContext | None = None) -> s
     total = frobenius(lift.x)
     if total == 0.0:
         return "parallel"
-    hor, vert = split(psi, lift, ctx)
-    if frobenius(vert.x) <= ctx.tol.classify * total:
+    hor, xi = split(psi, lift, ctx)
+    if frobenius(psi.psi @ xi.xi) <= ctx.tol.classify * total:
         return "parallel"
     if frobenius(hor.x) <= ctx.tol.classify * total:
         return "perpendicular"
@@ -269,6 +269,8 @@ def evolve(h, state: DensityState, t: float, steps: int,
     step; residuals are returned per probe. t must be finite and nonzero.
     """
     ctx = ctx or GeometryContext()
+    if np.ndim(h) != 2:
+        raise BadDims(f"hamiltonian must be 2-dimensional, got shape {np.shape(h)}")
     h = check_observable(h, state.n, ctx.tol, "hamiltonian")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -279,7 +281,8 @@ def evolve(h, state: DensityState, t: float, steps: int,
 
     hbar = ctx.hbar
     times = np.linspace(0.0, t, steps + 1)
-    flow = unitary_exponential_family(h / (1j * hbar), ctx.tol)(times)
+    # the family's unchecked core: -iH/hbar has H's relative defect, checked above
+    flow = _unitary_flow(h / (1j * hbar))(times)
     rho = flow @ state.rho @ flow.conj().swapaxes(-1, -2)
     rho = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
 

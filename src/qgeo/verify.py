@@ -32,15 +32,14 @@ from .errors import QGeoError, SpectrumDrift
 from .geometry import (
     GeometryContext,
     AmbientTangent,
+    _chi_parts,
     ambient_forms,
-    chi,
     connection,
     hamiltonian_lift,
     inertia_inner,
     momentum_map,
     random_tangent,
     split,
-    xi_field,
 )
 from .linalg import (
     frobenius,
@@ -384,10 +383,10 @@ def run_connection_suite(cfg: RunConfig) -> SuiteResult:
         hor, _ = split(frames, tangent, ctx)
         resid = np.maximum(resid, frobenius_norms(connection(frames, hor, ctx).xi)
                            / np.maximum(1.0, frobenius_norms(tangent.x)))
-        hor2, vert2 = split(frames, hor, ctx)
+        hor2, xi2 = split(frames, hor, ctx)
         hor_scale = np.maximum(1.0, frobenius_norms(hor.x))
         resid = np.maximum(resid, frobenius_norms(hor2.x - hor.x) / hor_scale)
-        resid = np.maximum(resid, frobenius_norms(vert2.x) / hor_scale)
+        resid = np.maximum(resid, frobenius_norms(frames.psi @ xi2.xi) / hor_scale)
         return _stack_rows([("connection_contract", resid, cfg.tol.connection)])
 
     return _campaign(cfg, _CONN, cfg.trials, ["connection_contract"], draw, evaluate,
@@ -429,17 +428,17 @@ def run_momentum_equivariance_suite(cfg: RunConfig) -> SuiteResult:
 # --- identity and bound campaign ---------------------------------------------
 
 def _instance_terms(a: np.ndarray, b: np.ndarray, frame: PurificationFrame,
-                    ctx: GeometryContext) -> dict[str, float]:
-    """All bracket/xi-field scalars of one instance via the pipeline.
+                    ctx: GeometryContext) -> tuple[dict[str, float], GaugeElement]:
+    """All bracket/xi-field scalars of one instance via the pipeline, and
+    the connection values (xi_A, xi_B) as one stack.
 
     Also takes a ``FrameStack`` with observable stacks a, b of shape
-    (B, n, n); every value is then a length-B array. A and B go through the
-    lift, split and xi-field as one (2, ..., n, k) stack.
+    (B, n, n); every value is then a length-B array. A and B are lifted and
+    split once, as one (2, ..., n, k) stack, and the xi-fields come from it.
     """
-    obs = np.stack([a, b])
-    lifts = hamiltonian_lift(obs, frame, ctx)
-    hors, _ = split(frame, lifts, ctx)
-    xis, perps = xi_field(obs, frame, ctx)
+    lifts = hamiltonian_lift(np.stack([a, b]), frame, ctx)
+    hors, xis = split(frame, lifts, ctx)
+    chis, perps = _chi_parts(xis, ctx)
     lift_a, lift_b = (AmbientTangent(x, frame) for x in lifts.x)
     hor_a, hor_b = (AmbientTangent(x, frame) for x in hors.x)
     xi_a, xi_b = (GaugeElement(x, frame.sigma) for x in xis.xi)
@@ -447,7 +446,6 @@ def _instance_terms(a: np.ndarray, b: np.ndarray, frame: PurificationFrame,
     cross = ambient_forms(hor_a, hor_b, ctx)
     g_self = ambient_forms(hors, hors, ctx).g
     perp_sq = inertia_inner(perps, perps, ctx)
-    chis = inertia_inner(chi(frame.sigma, ctx.hbar), xis, ctx)
     return {
         "g_ab": cross.g,
         "w_ab": ambient_forms(lift_a, lift_b, ctx).w,
@@ -460,7 +458,7 @@ def _instance_terms(a: np.ndarray, b: np.ndarray, frame: PurificationFrame,
         "pb_pb": perp_sq[1],
         "chi_a": chis[0],
         "chi_b": chis[1],
-    }
+    }, xis
 
 
 _IDENTITY_SUITES = [
@@ -490,7 +488,7 @@ def _bound_rows(tol: Tolerances, names: list[str], batch: list) -> list[list[Row
     n = max(frame.n for frame in frame_list)
     frames = stack_frames(frame_list, n)
     a, b = (stack_padded(x, (n, n)) for x in (a_list, b_list))
-    t = _instance_terms(a, b, frames, ctx)
+    t, _ = _instance_terms(a, b, frames, ctx)
     g, w, pp = t["g_ab"], t["w_ab"], t["pa_pb"]
     rho = frame_to_state(frames).rho
     a_rho, b_rho = a @ rho, b @ rho
@@ -589,14 +587,14 @@ def run_gauge_invariance_suite(cfg: RunConfig) -> SuiteResult:
         moved = gauge_act(frame, u, cfg.tol)
         # the frame and its gauge image as one stack of two
         both = stack_frames([frame, moved], frame.n)
-        t = _instance_terms(np.stack([a, a]), np.stack([b, b]), both, ctx)
-        xi, _ = xi_field(a, both, ctx)
+        t, xis = _instance_terms(np.stack([a, a]), np.stack([b, b]), both, ctx)
         resid = max(
             abs(t[key][0] - t[key][1]) / max(1.0, abs(t[key][0]))
             for key in ("g_ab", "w_ab", "xa_xb", "pa_pb", "chi_a")
         )
-        conj = u.conj().T @ xi.xi[0] @ u
-        resid = max(resid, frobenius(xi.xi[1] - conj) / max(1.0, frobenius(conj)))
+        xi_a = xis.xi[0]  # xi_A at the frame and at its gauge image
+        conj = u.conj().T @ xi_a[0] @ u
+        resid = max(resid, frobenius(xi_a[1] - conj) / max(1.0, frobenius(conj)))
         return [("gauge_invariance", resid, cfg.tol.invariance)]
 
     return _campaign(cfg, _GAUGE, cfg.fifth, ["gauge_invariance"], rows)[0]
@@ -648,7 +646,7 @@ def run_representative_suite(cfg: RunConfig) -> SuiteResult:
     def rows(rng: np.random.Generator, trial: int) -> list[Row]:
         frame, a, b = random_instance(rng, cfg.dim_max)
         u = sample_haar_unitary(frame.sigma.k, rng)
-        t0 = _instance_terms(a, b, frame, ctx)
+        t0, _ = _instance_terms(a, b, frame, ctx)
         t1 = representative_scalars(a, b, frame, u, ctx.hbar)
         resid = max(abs(t0[key] - t1[key]) / max(1.0, abs(t0[key])) for key in t1)
         return [("representative_independence", resid, cfg.tol.invariance)]
@@ -704,8 +702,8 @@ def run_spin_suites(cfg: RunConfig) -> list[SuiteResult]:
         spin = build_spin(spec.s, cfg.hbar)
         forms = closed_forms(spec, ctx)
         # one oracle stack of the pairs (Sx, Sy) and (Sx, Sz)
-        t = _instance_terms(np.stack([spin.sx, spin.sx]), np.stack([spin.sy, spin.sz]),
-                            frame, ctx)
+        t, _ = _instance_terms(np.stack([spin.sx, spin.sx]), np.stack([spin.sy, spin.sz]),
+                               frame, ctx)
         machine = {
             "sxsy_omega": t["w_ab"][0],
             "sxsx_g": t["g_aa"][1],

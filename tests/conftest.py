@@ -1,14 +1,14 @@
+import numpy as np
 import pytest
 
 from qgeo.geometry import GeometryContext
-from qgeo.linalg import make_rng
 from qgeo.spin import build_spin, build_ensemble, ensemble_spec
 from qgeo.states import make_spectrum, random_frame
 
 
 @pytest.fixture
 def rng():
-    return make_rng(1234)
+    return np.random.default_rng(1234)
 
 
 @pytest.fixture

@@ -175,22 +175,28 @@ class TestSplit:
     def test_vertical_input(self, mixed_frame, ctx, rng):
         xi = random_gauge_algebra(mixed_frame.sigma, rng)
         vertical = AmbientTangent(mixed_frame.psi @ xi.xi, mixed_frame)
-        hor, vert = split(mixed_frame, vertical, ctx)
+        hor, xi_out = split(mixed_frame, vertical, ctx)
         assert frobenius(hor.x) <= 1e-10 * max(1.0, frobenius(vertical.x))
-        assert np.allclose(vert.x, vertical.x, atol=1e-10)
+        assert np.allclose(mixed_frame.psi @ xi_out.xi, vertical.x, atol=1e-10)
 
     def test_reconstruction_exact(self, mixed_frame, ctx, rng):
         x = random_tangent(mixed_frame, rng)
-        hor, vert = split(mixed_frame, x, ctx)
-        # hor is defined as x - vert, so the sum returns x to the last ulp
-        assert np.allclose(hor.x + vert.x, x.x, rtol=0, atol=1e-15)
+        hor, xi = split(mixed_frame, x, ctx)
+        # hor is defined as x - psi xi, so the sum returns x to the last ulp
+        assert np.allclose(hor.x + mixed_frame.psi @ xi.xi, x.x, rtol=0, atol=1e-15)
+
+    def test_returns_the_connection_value(self, mixed_frame, ctx, rng):
+        x = random_tangent(mixed_frame, rng)
+        _, xi = split(mixed_frame, x, ctx)
+        assert xi.sigma is mixed_frame.sigma
+        assert np.array_equal(xi.xi, connection(mixed_frame, x, ctx).xi)
 
     def test_idempotent(self, mixed_frame, ctx, rng):
         x = random_tangent(mixed_frame, rng)
         hor, _ = split(mixed_frame, x, ctx)
-        hor2, vert2 = split(mixed_frame, hor, ctx)
+        hor2, xi2 = split(mixed_frame, hor, ctx)
         assert frobenius(hor2.x - hor.x) <= 1e-10 * max(1.0, frobenius(hor.x))
-        assert frobenius(vert2.x) <= 1e-10 * max(1.0, frobenius(hor.x))
+        assert frobenius(mixed_frame.psi @ xi2.xi) <= 1e-10 * max(1.0, frobenius(hor.x))
 
     def test_horizontal_orthogonal_to_gauge_directions(self, mixed_frame, ctx, rng):
         x = random_tangent(mixed_frame, rng)
@@ -204,8 +210,8 @@ class TestSplit:
         spin, _, frame = demo
         for obs in (spin.sx, spin.sy):
             lift = hamiltonian_lift(obs, frame, ctx)
-            hor, vert = split(frame, lift, ctx)
-            assert frobenius(vert.x) <= 1e-12
+            hor, xi = split(frame, lift, ctx)
+            assert frobenius(frame.psi @ xi.xi) <= 1e-12
             assert np.allclose(hor.x, lift.x)
 
 
@@ -300,7 +306,7 @@ class TestPairTerms:
             seen["full_rank_single_block"] += sigma.k == frame.n and sigma.l == 1
 
             t = pair_terms(a, b, frame, ctx)
-            ref = _instance_terms(a, b, frame, ctx)
+            ref, _ = _instance_terms(a, b, frame, ctx)
             root = np.sqrt(2.0 / hbar)  # chi . xi_A = sqrt(2/hbar) <A>
             got = {"g_ab": t.g_ab, "w_ab": t.w_ab, "g_aa": t.g_aa, "g_bb": t.g_bb,
                    "pa_pb": t.pa_pb, "pa_pa": t.pa_pa, "pb_pb": t.pb_pb,

@@ -9,7 +9,6 @@ from qgeo.linalg import (
     check_observable,
     frobenius,
     hermitian_eigensystem,
-    make_rng,
     sample_haar_unitary,
     sample_hermitian,
     sample_isometry,
@@ -17,6 +16,7 @@ from qgeo.linalg import (
     unitary_exponential_family,
 )
 from qgeo.states import density_state, make_spectrum
+from qgeo.uncertainty import evolve
 
 
 class TestEigensystem:
@@ -33,7 +33,7 @@ class TestEigensystem:
         assert np.allclose(rebuilt, np.diag([0.3, 0.7]))
 
     def test_roundtrip_random(self):
-        rng = make_rng(7)
+        rng = np.random.default_rng(7)
         for _ in range(50):
             n = int(rng.integers(1, 9))
             m = sample_hermitian(n, rng)
@@ -44,7 +44,7 @@ class TestEigensystem:
             assert np.all(np.diff(values) <= 1e-14)
 
     def test_degenerate_spectrum(self):
-        rng = make_rng(3)
+        rng = np.random.default_rng(3)
         u = sample_haar_unitary(4, rng)
         m = u @ np.diag([2.0, 2.0, 1.0, 1.0]) @ u.conj().T
         values, vectors = hermitian_eigensystem(m)
@@ -54,7 +54,7 @@ class TestEigensystem:
     def test_matches_lapack_eigenvalues(self):
         # planted spectra U diag(lam) U†, so the reference does not come from
         # the LAPACK routine under test
-        rng = make_rng(21)
+        rng = np.random.default_rng(21)
         for _ in range(25):
             n = int(rng.integers(2, 9))
             lam = rng.uniform(-2.0, 2.0, n)
@@ -64,7 +64,7 @@ class TestEigensystem:
             assert np.allclose(values, np.sort(lam)[::-1], atol=1e-11)
 
     def test_degenerate_output_repeatable(self):
-        rng = make_rng(5)
+        rng = np.random.default_rng(5)
         u = sample_haar_unitary(5, rng)
         m = (u * np.array([1.5, 1.5, 1.5, -0.5, -0.5])) @ u.conj().T
         first = hermitian_eigensystem(m)
@@ -111,7 +111,7 @@ class TestCheckObservable:
         ("non_finite", BadDims, "non-finite"),
     ])
     def test_rejects_bad_input(self, stacked, fault, exc, match):
-        rng = make_rng(11)
+        rng = np.random.default_rng(11)
         n = 4 if fault == "wrong_size" else 3
         good = sample_hermitian(n, rng)
         bad = _with_fault(sample_hermitian(n, rng), fault)
@@ -121,7 +121,7 @@ class TestCheckObservable:
             check_observable(m, 3, name="obs 'A'")
 
     def test_stack_decision_matches_slices(self):
-        rng = make_rng(12)
+        rng = np.random.default_rng(12)
         n = 3
         for _ in range(40):
             slices = [sample_hermitian(n, rng) + eps * sample_hermitian(n, rng) * 1j
@@ -138,8 +138,9 @@ class TestCheckObservable:
     lambda m: unitary_exponential_family(1j * m),
     lambda m: momentum_map(m, 1j * np.eye(2)),
     lambda m: momentum_map(np.eye(2), 1j * m),
+    lambda m: evolve(m, density_state(np.diag([0.7, 0.3]), make_spectrum([0.7, 0.3])), 1.0, 4),
 ], ids=["hermitian_eigensystem", "density_state", "unitary_exponential_family",
-        "momentum_map_psi", "momentum_map_xi"])
+        "momentum_map_psi", "momentum_map_xi", "evolve"])
 def test_one_matrix_functions_reject_stacks(call):
     stack = np.stack([np.diag([0.7, 0.3]), np.diag([0.7, 0.3])]).astype(complex)
     with pytest.raises(BadDims):
@@ -165,7 +166,7 @@ class TestUnitaryExponential:
             unitary_exponential_family(np.eye(2))
 
     def test_time_array_stacks_scalar_calls(self):
-        rng = make_rng(13)
+        rng = np.random.default_rng(13)
         for n in range(1, 17):
             flow = unitary_exponential_family(1j * sample_hermitian(n, rng))
             ts = rng.uniform(-2.0, 2.0, size=5)
@@ -174,7 +175,7 @@ class TestUnitaryExponential:
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000), s=st.floats(-1, 1), t=st.floats(-1, 1))
     def test_group_law(self, seed, s, t):
-        rng = make_rng(seed)
+        rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 7))
         x = 1j * sample_hermitian(n, rng)
         norm = frobenius(x)
@@ -188,20 +189,20 @@ class TestUnitaryExponential:
 
 class TestSamplers:
     def test_isometry_contract(self):
-        v = sample_isometry(4, 2, make_rng(7))
+        v = sample_isometry(4, 2, np.random.default_rng(7))
         assert frobenius(v.conj().T @ v - np.eye(2)) <= 1e-12
 
     def test_haar_unitary_determinant(self):
-        u = sample_haar_unitary(3, make_rng(5))
+        u = sample_haar_unitary(3, np.random.default_rng(5))
         assert abs(abs(np.linalg.det(u)) - 1.0) <= 1e-12
 
     def test_hermitian_is_selfadjoint(self):
-        m = sample_hermitian(5, make_rng(9))
+        m = sample_hermitian(5, np.random.default_rng(9))
         assert frobenius(m - m.conj().T) <= 1e-14
 
     def test_determinism(self):
-        a = sample_hermitian(6, make_rng(42))
-        b = sample_hermitian(6, make_rng(42))
+        a = sample_hermitian(6, np.random.default_rng(42))
+        b = sample_hermitian(6, np.random.default_rng(42))
         assert np.array_equal(a, b)
 
     def test_trial_rng_paths_differ(self):
@@ -213,6 +214,6 @@ class TestSamplers:
 
     def test_bad_dims(self):
         with pytest.raises(BadDims):
-            sample_isometry(2, 3, make_rng(0))
+            sample_isometry(2, 3, np.random.default_rng(0))
         with pytest.raises(BadDims):
-            sample_hermitian(0, make_rng(0))
+            sample_hermitian(0, np.random.default_rng(0))

@@ -30,6 +30,10 @@ class TestMatrixCodec:
         back = matrix_from_json(matrix_to_json(m))
         assert np.array_equal(back, m)
 
+    def test_encoder_rejects_non_matrix(self):
+        with pytest.raises(BadDims):
+            matrix_to_json(np.zeros((2, 2, 2)))
+
     def test_shape_mismatch_rejected(self):
         obj = {"rows": 2, "cols": 2, "re": [[1.0, 0.0]], "im": [[0.0, 0.0]]}
         with pytest.raises(BadDims):

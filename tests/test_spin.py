@@ -8,7 +8,7 @@ from qgeo.errors import (
     NotNormalized,
 )
 from qgeo.geometry import GeometryContext, brackets, inertia_inner, xi_field
-from qgeo.linalg import frobenius, make_rng
+from qgeo.linalg import frobenius
 from qgeo.spin import (
     abcd_experiment,
     build_ensemble,
@@ -121,7 +121,7 @@ class TestClosedForms:
         assert forms.xi_sz_perp_sq == pytest.approx(0.42 * hbar, abs=1e-12)
 
     def test_random_ensembles_agree_with_pipeline(self):
-        rng = make_rng(2024)
+        rng = np.random.default_rng(2024)
         ctx = GeometryContext(hbar=1.0)
         for _ in range(25):
             s = int(rng.integers(1, 8)) / 2.0
@@ -180,7 +180,7 @@ class TestAbcdExperiment:
             abcd_experiment(demo_spec, 0.0, ctx)
 
     def test_winners_hold_across_random_windows(self, ctx):
-        rng = make_rng(99)
+        rng = np.random.default_rng(99)
         count = 0
         for _ in range(40):
             s = int(rng.integers(2, 8)) / 2.0

@@ -8,6 +8,7 @@ from qgeo.errors import (
     NonPositive,
     NotDescending,
     NotGauge,
+    NotHermitian,
     NotNormalized,
     SpectrumMismatch,
 )
@@ -134,6 +135,15 @@ class TestFrames:
         frame = purification_frame(np.array([[1.0], [0.0]]), sigma)
         assert np.allclose(frame_to_state(frame).rho, np.diag([1.0, 0.0]))
 
+    def test_purification_frame_rejects_invalid(self):
+        sigma = make_spectrum((0.7, 0.3))
+        with pytest.raises(BadDims):
+            purification_frame(np.eye(3)[:, :1], sigma)  # one column, rank 2
+        with pytest.raises(SpectrumMismatch):
+            purification_frame(np.eye(3)[:, :2], sigma)  # psi†psi = I, not P
+        psi = np.eye(3)[:, :2] * np.sqrt([0.7, 0.3])
+        assert np.array_equal(purification_frame(psi, sigma).psi, psi)
+
     def test_gauge_act_preserves_state(self, mixed_frame, rng):
         u = random_gauge(mixed_frame.sigma, rng)
         moved = gauge_act(mixed_frame, u)
@@ -224,6 +234,23 @@ class TestDensityState:
         sigma = make_spectrum((0.7, 0.3))
         with pytest.raises(NotNormalized):
             density_state(np.diag([0.7, 0.4]), sigma)
+
+    def test_checks_rho_once_by_name(self, monkeypatch):
+        import qgeo.linalg
+
+        labels = []
+        check = qgeo.linalg._check_defect
+
+        def recording(m, tol, name, *args, **kwargs):
+            labels.append(name)
+            return check(m, tol, name, *args, **kwargs)
+
+        monkeypatch.setattr(qgeo.linalg, "_check_defect", recording)
+        sigma = make_spectrum((0.7, 0.3))
+        density_state(np.diag([0.7, 0.3, 0.0]), sigma)
+        assert labels == ["rho"]
+        with pytest.raises(NotHermitian, match="^rho: "):
+            density_state(np.array([[0.7, 0.1], [0.0, 0.3]]), sigma)
 
     def test_representative_change_keeps_spectrum(self, rng):
         sigma = make_spectrum((0.6, 0.4))

@@ -4,7 +4,7 @@ import pytest
 import qgeo.linalg
 from qgeo.errors import BadDims, IdentityViolation, NotHermitian, SpectrumDrift
 from qgeo.geometry import GeometryContext, ambient_forms, brackets, hamiltonian_lift, xi_field
-from qgeo.linalg import sample_hermitian
+from qgeo.linalg import sample_hermitian, unitary_exponential_family
 from qgeo.spin import build_ensemble, build_spin
 from qgeo.states import (
     DensityState,
@@ -376,6 +376,35 @@ class TestEvolve:
             assert w != 0.0
             res_ref[j - 1] = abs(fd - w)
         assert np.max(np.abs(result.flow_residuals["B"] - res_ref)) <= 1e-10
+
+    def test_checks_the_hamiltonian_once(self, demo, ctx, monkeypatch):
+        # H is checked as an observable; its generator -iH/hbar is not checked again
+        from qgeo.verify import RunConfig, run_exponential_suite
+
+        spin, state, _ = demo
+        labels = []
+        check = qgeo.linalg._check_defect
+
+        def recording(m, tol, name, *args, **kwargs):
+            labels.append(name)
+            return check(m, tol, name, *args, **kwargs)
+
+        monkeypatch.setattr(qgeo.linalg, "_check_defect", recording)
+        evolve(spin.sx, state, t=0.5, steps=10, ctx=ctx, probes={"Sz": spin.sz})
+        assert labels.count("hamiltonian") == 1 and "generator" not in labels
+        labels.clear()
+        assert run_exponential_suite(RunConfig(seed=7, trials=20)).ok
+        assert "generator" in labels
+
+    def test_flow_is_the_checked_family(self, mixed_frame, rng):
+        # the flow the exponential suite checks is the one evolve applies
+        ctx = GeometryContext(hbar=0.32)
+        state = frame_to_state(mixed_frame)
+        h = sample_hermitian(5, rng)
+        result = evolve(h, state, t=0.2, steps=8, ctx=ctx)
+        flow = unitary_exponential_family(h / (1j * ctx.hbar), ctx.tol)(result.times)
+        rho = flow @ state.rho @ flow.conj().swapaxes(-1, -2)
+        assert np.array_equal(result.rho, 0.5 * (rho + rho.conj().swapaxes(-1, -2)))
 
     def test_hbar_dependence(self, demo, demo_spec):
         spin, state, _ = demo

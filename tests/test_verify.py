@@ -17,6 +17,7 @@ from qgeo.verify import (
     random_instance,
     random_spectrum,
     run_all,
+    run_gauge_invariance_suite,
     run_identity_campaign,
     run_spin_demo_suite,
     run_spin_suites,
@@ -337,10 +338,54 @@ class TestStacking:
             padded = PurificationFrame(np.vstack([frame.psi, np.zeros((3, frame.k))]),
                                        frame.sigma)
             pad = ((0, 3), (0, 3))
-            ref = _instance_terms(a, b, frame, ctx)
-            got = _instance_terms(np.pad(a, pad), np.pad(b, pad), padded, ctx)
+            ref, _ = _instance_terms(a, b, frame, ctx)
+            got, _ = _instance_terms(np.pad(a, pad), np.pad(b, pad), padded, ctx)
             for key, value in ref.items():
                 assert abs(got[key] - value) <= 1e-14 * max(1.0, abs(value)), key
+
+
+class TestOraclePasses:
+    """Each observable of an instance is lifted, checked and connected once."""
+
+    @staticmethod
+    def _count(monkeypatch, names):
+        import qgeo.geometry
+        import qgeo.verify
+
+        calls = dict.fromkeys(names, 0)
+        for module in (qgeo.geometry, qgeo.verify):
+            for name in names:
+                original = getattr(module, name, None)
+                if original is None:
+                    continue
+
+                def counting(*args, _name=name, _original=original, **kwargs):
+                    calls[_name] += 1
+                    return _original(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counting)
+        return calls
+
+    def test_instance_terms_lifts_and_connects_once(self, monkeypatch):
+        from qgeo.geometry import xi_field
+        from qgeo.linalg import stack_padded
+        from qgeo.states import stack_frames
+
+        ctx = GeometryContext(hbar=0.32)
+        instances = [random_instance(trial_rng(5, trial), 6, k=2) for trial in range(3)]
+        n = max(frame.n for frame, _, _ in instances)
+        frames = stack_frames([frame for frame, _, _ in instances], n)
+        a, b = (stack_padded([inst[i] for inst in instances], (n, n)) for i in (1, 2))
+        calls = self._count(monkeypatch, ["hamiltonian_lift", "connection"])
+        terms, xis = _instance_terms(a, b, frames, ctx)
+        assert calls == {"hamiltonian_lift": 1, "connection": 1}
+        assert "xi" not in terms and xis.xi.shape == (2, 3, 2, 2)
+        assert np.array_equal(xis.xi, xi_field(np.stack([a, b]), frames, ctx)[0].xi)
+
+    def test_gauge_suite_makes_no_xi_field_call(self, monkeypatch):
+        calls = self._count(monkeypatch, ["xi_field"])
+        assert run_gauge_invariance_suite(RunConfig(seed=7, trials=40)).ok
+        assert calls == {"xi_field": 0}
 
 
 class TestVerifyExitCodes:
