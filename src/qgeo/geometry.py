@@ -55,6 +55,7 @@ from .errors import (
     SpectrumMismatch,
 )
 from .linalg import (
+    _check_defect,
     _complex_gaussian,
     check_anti_hermitian,
     check_finite,
@@ -184,18 +185,12 @@ def _resolve_tangent(psi: PurificationFrame, x, tol: Tolerances) -> AmbientTange
     return ambient_tangent(x, psi, tol)
 
 
-def _resolve_gauge(xi, sigma: Spectrum) -> np.ndarray:
-    if isinstance(xi, GaugeElement):
-        if xi.sigma is not sigma and xi.sigma != sigma:
-            raise SpectrumMismatch("gauge element carries a different spectrum")
-        return xi.xi
-    return np.asarray(xi, dtype=complex)
-
-
 def chi(sigma: Spectrum, hbar: float = 1.0) -> GaugeElement:
     """The unit central gauge direction 1/(i sqrt(2 hbar)); chi . chi = 1.
 
     One k x k matrix, which broadcasts over a stack's slices."""
+    if not hbar > 0:
+        raise NonPositive(f"hbar must be positive, got {hbar}")
     xi = np.eye(sigma.k, dtype=complex) / (1j * np.sqrt(2.0 * hbar))
     return GaugeElement(xi, sigma)
 
@@ -218,26 +213,18 @@ def ambient_forms(x: AmbientTangent, y: AmbientTangent,
     return AmbientForms(ctx.hbar * (xy.real + yx.real), ctx.hbar * (xy.imag - yx.imag))
 
 
-def inertia_inner(xi, eta, ctx: GeometryContext | None = None):
+def inertia_inner(xi: GaugeElement, eta: GaugeElement, ctx: GeometryContext | None = None):
     """Bi-invariant metric on the gauge algebra:
     xi . eta = hbar Tr((xi†eta + eta†xi) P), one value per slice of a stack.
 
     Coincides with G(psi xi, psi eta) at every frame (locked inertia)."""
     ctx = ctx or GeometryContext()
-    if isinstance(xi, GaugeElement) and isinstance(eta, GaugeElement):
-        if xi.sigma is not eta.sigma and xi.sigma != eta.sigma:
-            raise SpectrumMismatch("gauge elements carry different spectra")
-        sigma = xi.sigma
-    elif isinstance(xi, GaugeElement):
-        sigma = xi.sigma
-    elif isinstance(eta, GaugeElement):
-        sigma = eta.sigma
-    else:
-        raise SpectrumMismatch("at least one argument must be a GaugeElement")
-    a = _resolve_gauge(xi, sigma)
-    b = _resolve_gauge(eta, sigma)
-    diag = np.einsum("...ij,...ij->...j", a.conj(), b).real
-    return 2.0 * ctx.hbar * np.einsum("...j,...j->...", diag, sigma.full)
+    if not (isinstance(xi, GaugeElement) and isinstance(eta, GaugeElement)):
+        raise SpectrumMismatch("both arguments must be GaugeElements")
+    if xi.sigma is not eta.sigma and xi.sigma != eta.sigma:
+        raise SpectrumMismatch("gauge elements carry different spectra")
+    diag = np.einsum("...ij,...ij->...j", xi.xi.conj(), eta.xi).real
+    return 2.0 * ctx.hbar * np.einsum("...j,...j->...", diag, xi.sigma.full)
 
 
 def momentum_map(psi, xi, ctx: GeometryContext | None = None) -> float:
@@ -293,12 +280,20 @@ def split(psi: PurificationFrame, x, ctx: GeometryContext | None = None
 
 def hamiltonian_lift(a, psi: PurificationFrame,
                      ctx: GeometryContext | None = None) -> AmbientTangent:
-    """Gauge-invariant lift X_A(psi) = A psi / (i hbar) of an observable.
-
-    Tangency holds automatically for Hermitian A and is checked.
+    """Gauge-invariant lift X_A(psi) = A psi / (i hbar) of an observable, or
+    of every slice of an observable stack (the oracle lifts many at once).
+    Each slice is checked; tangency holds for Hermitian A and is checked.
     """
     ctx = ctx or GeometryContext()
-    a = check_observable(a, psi.psi.shape[-2], ctx.tol)
+    n = psi.psi.shape[-2]
+    a = _check_defect(a, ctx.tol, "observable", stack=True)
+    if a.shape[-1] != n:
+        raise BadDims(f"observable is {a.shape[-1]} x {a.shape[-1]}, the state lives in dimension {n}")
+    return _lift(a, psi, ctx)
+
+
+def _lift(a: np.ndarray, psi: PurificationFrame, ctx: GeometryContext) -> AmbientTangent:
+    """``hamiltonian_lift`` of checked observables."""
     return ambient_tangent((a @ psi.psi) / (1j * ctx.hbar), psi, ctx.tol)
 
 
@@ -422,14 +417,13 @@ def _omega_grams(psi: PurificationFrame, ctx: GeometryContext
     return ctx.hbar * (lw.imag - lw.imag.T), ctx.hbar * (hg.real + hg.real.T)
 
 
-def omega_rank(psi: PurificationFrame, ctx: GeometryContext | None = None,
-               rel_cut: float = 1e-9) -> tuple[int, int]:
+def omega_rank(psi: PurificationFrame, ctx: GeometryContext | None = None) -> tuple[int, int]:
     """Diagnostic rank of the reduced symplectic form at a state.
 
     Lifts a full Hermitian operator basis as one stack, forms the Gram
     matrices of the symplectic pairing (on full lifts) and the metric
-    pairing (on horizontal parts), and counts eigenvalues above a relative
-    cut. The metric rank equals the orbit dimension, so nondegeneracy of the
+    pairing (on horizontal parts), and counts eigenvalues above 1e-9 times
+    the largest. The metric rank equals the orbit dimension, so nondegeneracy of the
     reduced form shows up as equal ranks. Not an acceptance gate.
     """
     ctx = ctx or GeometryContext()
@@ -440,6 +434,6 @@ def omega_rank(psi: PurificationFrame, ctx: GeometryContext | None = None,
         top = np.max(np.abs(values)) if values.size else 0.0
         if top == 0.0:
             return 0
-        return int(np.sum(np.abs(values) > rel_cut * top))
+        return int(np.sum(np.abs(values) > 1e-9 * top))
 
     return _rank(1j * gram_w), _rank(gram_g)

@@ -114,11 +114,8 @@ def check_hermitian(m: np.ndarray, tol: Tolerances | None = None,
 
 def check_observable(m: np.ndarray, n: int, tol: Tolerances | None = None,
                      name: str = "observable") -> np.ndarray:
-    """Hermitian n x n matrix, an observable on an n-level system, or a stack
-    of them (every slice is checked)."""
-    m = np.asarray(m, dtype=complex)
-    # one matrix goes through check_hermitian, whose calls the benchmark tracer counts
-    m = check_hermitian(m, tol, name) if m.ndim == 2 else _check_defect(m, tol, name, stack=True)
+    """Hermitian n x n matrix, an observable on an n-level system."""
+    m = check_hermitian(m, tol, name)
     if m.shape[-1] != n:
         raise BadDims(f"{name} is {m.shape[-1]} x {m.shape[-1]}, the state lives in dimension {n}")
     return m

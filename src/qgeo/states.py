@@ -340,8 +340,7 @@ def gauge_act(frame: PurificationFrame, u: np.ndarray,
     return PurificationFrame(frame.psi @ u, frame.sigma)
 
 
-def random_frame(sigma: Spectrum, n: int, rng: np.random.Generator,
-                 tol: Tolerances | None = None) -> PurificationFrame:
+def random_frame(sigma: Spectrum, n: int, rng: np.random.Generator) -> PurificationFrame:
     """psi = V sqrt(P) for a Haar-random n x k isometry V."""
     if sigma.k > n:
         raise BadDims(f"rank k={sigma.k} exceeds ambient dimension n={n}")

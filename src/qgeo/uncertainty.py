@@ -27,8 +27,8 @@ from typing import Mapping
 import numpy as np
 
 from .config import Tolerances
-from .errors import BadDims, IdentityViolation, SpectrumDrift
-from .geometry import GeometryContext, hamiltonian_lift, pair_terms, split
+from .errors import IdentityViolation, SpectrumDrift
+from .geometry import GeometryContext, _lift, pair_terms, split
 from .linalg import _unitary_flow, check_observable, frobenius
 from .states import DensityState, PurificationFrame, Spectrum, frame_to_state
 
@@ -208,7 +208,7 @@ def classify(a, psi: PurificationFrame, ctx: GeometryContext | None = None) -> s
     'generic', by the relative norms of the split. The zero lift counts as
     parallel."""
     ctx = ctx or GeometryContext()
-    lift = hamiltonian_lift(a, psi, ctx)
+    lift = _lift(check_observable(a, psi.n, ctx.tol), psi, ctx)
     total = frobenius(lift.x)
     if total == 0.0:
         return "parallel"
@@ -269,8 +269,6 @@ def evolve(h, state: DensityState, t: float, steps: int,
     step; residuals are returned per probe. t must be finite and nonzero.
     """
     ctx = ctx or GeometryContext()
-    if np.ndim(h) != 2:
-        raise BadDims(f"hamiltonian must be 2-dimensional, got shape {np.shape(h)}")
     h = check_observable(h, state.n, ctx.tol, "hamiltonian")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")

@@ -100,7 +100,7 @@ class RunConfig:
     hbar: float = 1.0
     tol: Tolerances = field(default_factory=default_tolerances)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.dim_max < 2:
@@ -765,7 +765,6 @@ def run_spin_demo_suite(cfg: RunConfig) -> SuiteResult:
 # --- driver ------------------------------------------------------------------
 
 def run_all(cfg: RunConfig) -> list[SuiteResult]:
-    cfg.validate()
     results: list[SuiteResult] = []
     results.append(run_eigensystem_suite(cfg))
     results.append(run_sampler_determinism_suite(cfg))

@@ -110,6 +110,19 @@ class TestInertia:
         with pytest.raises(SpectrumMismatch):
             inertia_inner(a, b, ctx)
 
+    def test_rejects_raw_arrays(self, ctx):
+        # a raw array skips GaugeElement's checks: np.ones is neither
+        # anti-Hermitian nor block-diagonal
+        c = chi(make_spectrum((0.7, 0.3)), ctx.hbar)
+        for xi, eta in ((c, np.ones((2, 2))), (np.ones((2, 2)), c), (c.xi, c.xi)):
+            with pytest.raises(SpectrumMismatch):
+                inertia_inner(xi, eta, ctx)
+
+    @pytest.mark.parametrize("hbar", [0.0, -1.0, float("nan")])
+    def test_chi_rejects_nonpositive_hbar(self, hbar):
+        with pytest.raises(NonPositive):
+            chi(make_spectrum((0.7, 0.3)), hbar)
+
 
 class TestMomentumMap:
     def test_chi_value(self, ctx, rng):

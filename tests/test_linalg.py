@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgeo.errors import BadDims, NotAntiHermitian, NotHermitian
-from qgeo.geometry import momentum_map
+from qgeo.geometry import hamiltonian_lift, momentum_map, pair_terms
 from qgeo.linalg import (
     check_observable,
     frobenius,
@@ -15,8 +15,8 @@ from qgeo.linalg import (
     trial_rng,
     unitary_exponential_family,
 )
-from qgeo.states import density_state, make_spectrum
-from qgeo.uncertainty import evolve
+from qgeo.states import density_state, make_spectrum, random_frame
+from qgeo.uncertainty import classify, decomposition, evolve, moments, rs_bound
 
 
 class TestEigensystem:
@@ -95,15 +95,26 @@ def _with_fault(m: np.ndarray, fault: str) -> np.ndarray:
     return m
 
 
-def _accepts(m, n: int) -> bool:
+_FRAME = random_frame(make_spectrum((0.5, 0.3, 0.2)), 3, np.random.default_rng(13))
+
+
+def _lift(m):
+    return hamiltonian_lift(m, _FRAME)
+
+
+def _accepts(m) -> bool:
     try:
-        check_observable(m, n)
+        _lift(m)
     except NotHermitian:
         return False
     return True
 
 
 class TestCheckObservable:
+    """One matrix goes through ``check_observable``; a stack only through the
+    oracle's ``hamiltonian_lift``, which applies the same check to every
+    slice and labels its input "observable"."""
+
     @pytest.mark.parametrize("stacked", [False, True], ids=["matrix", "stack"])
     @pytest.mark.parametrize("fault, exc, match", [
         ("non_hermitian", NotHermitian, "obs 'A'"),
@@ -116,9 +127,12 @@ class TestCheckObservable:
         good = sample_hermitian(n, rng)
         bad = _with_fault(sample_hermitian(n, rng), fault)
         assert np.array_equal(check_observable(good, n), good)
-        m = np.stack([good, bad, good]) if stacked else bad
-        with pytest.raises(exc, match=match):
-            check_observable(m, 3, name="obs 'A'")
+        if stacked:
+            with pytest.raises(exc, match=match.replace("obs 'A'", "observable")):
+                _lift(np.stack([good, bad, good]))
+        else:
+            with pytest.raises(exc, match=match):
+                check_observable(bad, 3, name="obs 'A'")
 
     def test_stack_decision_matches_slices(self):
         rng = np.random.default_rng(12)
@@ -127,9 +141,14 @@ class TestCheckObservable:
             slices = [sample_hermitian(n, rng) + eps * sample_hermitian(n, rng) * 1j
                       for eps in rng.choice([0.0, 1e-13, 3e-12, 1e-6], size=3)]
             stack = np.stack(slices)
-            assert _accepts(stack, n) == all(_accepts(m, n) for m in slices)
-            if _accepts(stack, n):
-                assert np.array_equal(check_observable(stack, n), stack)
+            assert _accepts(stack) == all(_accepts(m) for m in slices)
+            if _accepts(stack):
+                assert np.array_equal(_lift(stack).x, np.stack([_lift(m).x for m in slices]))
+
+
+_QUBIT = density_state(np.diag([0.7, 0.3]), make_spectrum([0.7, 0.3]))
+_QUBIT_FRAME = random_frame(_QUBIT.sigma, 2, np.random.default_rng(14))
+_SZ = np.diag([1.0, -1.0])
 
 
 @pytest.mark.parametrize("call", [
@@ -138,9 +157,16 @@ class TestCheckObservable:
     lambda m: unitary_exponential_family(1j * m),
     lambda m: momentum_map(m, 1j * np.eye(2)),
     lambda m: momentum_map(np.eye(2), 1j * m),
-    lambda m: evolve(m, density_state(np.diag([0.7, 0.3]), make_spectrum([0.7, 0.3])), 1.0, 4),
+    lambda m: evolve(m, _QUBIT, 1.0, 4),
+    lambda m: evolve(_SZ, _QUBIT, 1.0, 4, probes={"P": m}),
+    lambda m: moments(m, _QUBIT),
+    lambda m: rs_bound(_SZ, m, _QUBIT),
+    lambda m: pair_terms(m, _SZ, _QUBIT_FRAME),
+    lambda m: decomposition(_SZ, m, _QUBIT_FRAME),
+    lambda m: classify(m, _QUBIT_FRAME),
 ], ids=["hermitian_eigensystem", "density_state", "unitary_exponential_family",
-        "momentum_map_psi", "momentum_map_xi", "evolve"])
+        "momentum_map_psi", "momentum_map_xi", "evolve", "evolve_probe", "moments",
+        "rs_bound", "pair_terms", "decomposition", "classify"])
 def test_one_matrix_functions_reject_stacks(call):
     stack = np.stack([np.diag([0.7, 0.3]), np.diag([0.7, 0.3])]).astype(complex)
     with pytest.raises(BadDims):

@@ -281,6 +281,23 @@ class TestClassify:
         _, _, frame = demo
         assert classify(np.zeros((3, 3)), frame, ctx) == "parallel"
 
+    def test_checks_the_observable_once(self, demo, ctx, monkeypatch):
+        import qgeo.geometry
+
+        spin, _, frame = demo
+        labels = []
+        check = qgeo.linalg._check_defect
+
+        def recording(m, tol, name, *args, **kwargs):
+            labels.append(name)
+            return check(m, tol, name, *args, **kwargs)
+
+        # geometry binds the routine by name, so both bindings are recorded
+        monkeypatch.setattr(qgeo.linalg, "_check_defect", recording)
+        monkeypatch.setattr(qgeo.geometry, "_check_defect", recording)
+        assert classify(spin.sx + spin.sz, frame, ctx) == "generic"
+        assert labels == ["observable"]
+
 
 class TestEvolve:
     def test_identity_hamiltonian_constant(self, demo, ctx):

@@ -96,12 +96,13 @@ class TestCampaign:
         assert first["evolution_flow_derivative"]["pass"] == 2
 
     def test_trial_count_validation(self):
-        with pytest.raises(ValueError):
-            RunConfig(trials=0).validate()
-        with pytest.raises(ValueError):
-            RunConfig(dim_max=1).validate()
-        with pytest.raises(ValueError):
-            RunConfig(hbar=-1.0).validate()
+        # on construction, so no run_* entry point sees an invalid config
+        with pytest.raises(ValueError, match="trials"):
+            RunConfig(trials=0)
+        with pytest.raises(ValueError, match="dim-max"):
+            RunConfig(dim_max=1)
+        with pytest.raises(ValueError, match="hbar"):
+            RunConfig(hbar=-1.0)
 
     @pytest.mark.parametrize("scale", [1.0, 1e5])
     def test_drifting_trajectory_counts_as_failure(self, monkeypatch, scale):
