@@ -27,6 +27,7 @@ from .errors import (
 from .geometry import (
     AmbientTangent,
     GeometryContext,
+    ObservableTerms,
     PairTerms,
     ambient_forms,
     ambient_tangent,
@@ -36,6 +37,7 @@ from .geometry import (
     hamiltonian_lift,
     inertia_inner,
     momentum_map,
+    observable_terms,
     omega_rank,
     pair_terms,
     random_tangent,

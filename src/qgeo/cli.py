@@ -22,8 +22,7 @@ from pathlib import Path
 
 from .config import Tolerances, env_tol_scale
 from .errors import IdentityViolation, QGeoError, SpectrumDrift
-from .geometry import GeometryContext
-from .linalg import check_observable
+from .geometry import GeometryContext, observable_terms
 from .serialize import (
     bound_report_to_json,
     dumps,
@@ -127,8 +126,10 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
             if name not in observables:
                 raise QGeoError(f"observable {name!r} not present in {args.obs_file}")
         pairs.append((parts[0], parts[1]))
+    # checked once here, under their names; the frame remembers each one's
+    # data, so the pairs below neither check nor form it again
     for name in sorted({n for pair in pairs for n in pair}):
-        check_observable(observables[name], state.n, tol, f"obs {name!r}")
+        observable_terms(observables[name], frame, ctx, f"obs {name!r}")
 
     reports = {}
     print(f"{'pair':<16} {'dA*dB':>12} {'geo':>12} {'rs':>12} {'combined':>12}  winner")

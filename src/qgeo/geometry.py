@@ -25,8 +25,11 @@ module exports alongside the brackets.
 Every such scalar of an observable pair reduces to k x k data on the
 ancilla: with Y_A = A psi, M_A = psi†Y_A and D_A its block-diagonal part,
 xi_A = D_A P^-1 / (i hbar), and ``pair_terms`` evaluates brackets and
-xi-products from (Y_A, M_A) alone. The ambient lift/split/connection path
-stays as the independent oracle that ``verify`` checks it against.
+xi-products from (Y_A, M_A) alone. Those come from ``observable_terms``,
+which checks and forms them once per observable and frame (the frame
+remembers them by the observable's content), so m observables in all their
+pairs cost m checks. The ambient lift/split/connection path stays as the
+independent oracle that ``verify`` checks it against.
 
 The oracle functions (``hamiltonian_lift``, ``connection``, ``split``,
 ``xi_field``, ``chi``, ``ambient_forms``, ``inertia_inner``) work on stacks:
@@ -63,7 +66,7 @@ from .linalg import (
     frobenius_norms,
     hermitian_eigensystem,
 )
-from .states import GaugeElement, PurificationFrame, Spectrum
+from .states import GaugeElement, PurificationFrame, Spectrum, _frozen
 
 __all__ = [
     "GeometryContext",
@@ -71,6 +74,7 @@ __all__ = [
     "ambient_tangent",
     "random_tangent",
     "AmbientForms",
+    "ObservableTerms",
     "PairTerms",
     "chi",
     "ambient_forms",
@@ -80,6 +84,7 @@ __all__ = [
     "split",
     "hamiltonian_lift",
     "xi_field",
+    "observable_terms",
     "pair_terms",
     "brackets",
     "omega_rank",
@@ -317,6 +322,51 @@ def xi_field(a, psi: PurificationFrame, ctx: GeometryContext | None = None
     return xi, _chi_parts(xi, ctx)[1]
 
 
+class ObservableTerms(NamedTuple):
+    """One observable's k x k data at a frame, the per-observable half of
+    ``pair_terms``: Y_A = A psi, q_A = (D_A - <A> P) P^-1/2, <A>, <A^2> and
+    |q_A|^2. The arrays are read-only."""
+
+    y: np.ndarray
+    q: np.ndarray
+    exp: float
+    second: float
+    q_sq: float
+
+
+def observable_terms(a, psi: PurificationFrame, ctx: GeometryContext | None = None,
+                     name: str = "observable") -> ObservableTerms:
+    """Check A once per frame (Hermitian, n x n, else NotHermitian/BadDims
+    labelled ``name``) and form its k x k data.
+
+    The frame remembers the result by A's content and the tolerance record,
+    so a later call with an equal matrix at the same frame reuses it, and a
+    matrix changed in place since, or a different record, is checked and
+    formed again.
+    """
+    ctx = ctx or GeometryContext()
+    m = np.asarray(a, dtype=complex)
+    return psi._remember(("terms", m.shape, m.tobytes()), ctx.tol,
+                         lambda: _observable_terms(m, psi, ctx.tol, name))
+
+
+def _observable_terms(a: np.ndarray, psi: PurificationFrame, tol: Tolerances,
+                      name: str) -> ObservableTerms:
+    frame = psi.psi
+    y = check_observable(a, psi.n, tol, name) @ frame
+    m = frame.conj().T @ y
+    exp = float(np.vdot(frame, y).real)  # Tr M_A
+    # (D_A - <A> P) P^-1/2, row-scaled (p is constant on each block): its
+    # pairings are the xi_perp products with no <A><B> cancellation, and
+    # <q_a, q_b> + <A><B> = Tr(D_A† D_B P^-1) since Tr P = 1
+    sigma = psi.sigma
+    root = np.sqrt(sigma.full)
+    weight = sigma.block_mask / root[:, None]
+    q = m * weight - np.diag(exp * root)
+    return ObservableTerms(_frozen(y), _frozen(q), exp,
+                           float(np.vdot(y, y).real), float(np.vdot(q, q).real))
+
+
 def pair_terms(a, b, psi: PurificationFrame,
                ctx: GeometryContext | None = None) -> PairTerms:
     """All pair scalars from the k x k data M_A = psi†A psi of each observable.
@@ -330,34 +380,21 @@ def pair_terms(a, b, psi: PurificationFrame,
       xi_A_perp . xi_B_perp = (2/hbar) [Re Tr(D_A D_B P^-1) - <A><B>].
 
     These equal the ambient pairings of the (horizontal) lifts and the
-    inertia products of the xi-fields. Each observable is validated once:
-    Hermitian, and of the frame's dimension (BadDims otherwise).
+    inertia products of the xi-fields. Each observable's data comes from
+    ``observable_terms``, so it is validated once per frame (Hermitian, and
+    of the frame's dimension, BadDims otherwise) however many pairs it is
+    in; the pair step only pairs the two observables' data.
     """
     ctx = ctx or GeometryContext()
-    frame = psi.psi
-    y_a = check_observable(a, psi.n, ctx.tol, "observable A") @ frame
-    y_b = check_observable(b, psi.n, ctx.tol, "observable B") @ frame
-    m_a = frame.conj().T @ y_a
-    m_b = frame.conj().T @ y_b
-    exp_a = float(np.vdot(frame, y_a).real)  # Tr M_A
-    exp_b = float(np.vdot(frame, y_b).real)
-    # (D_A - <A> P) P^-1/2, row-scaled (p is constant on each block): its
-    # pairings are the xi_perp products with no <A><B> cancellation, and
-    # <q_a, q_b> + <A><B> = Tr(D_A† D_B P^-1) since Tr P = 1
-    sigma = psi.sigma
-    root = np.sqrt(sigma.full)
-    weight = sigma.block_mask / root[:, None]
-    q_a = m_a * weight - np.diag(exp_a * root)
-    q_b = m_b * weight - np.diag(exp_b * root)
-    qq = float(np.vdot(q_a, q_b).real)
-    sq_qa = float(np.vdot(q_a, q_a).real)
-    sq_qb = float(np.vdot(q_b, q_b).real)
+    ta = observable_terms(a, psi, ctx, "observable A")
+    tb = observable_terms(b, psi, ctx, "observable B")
+    exp_a, exp_b = ta.exp, tb.exp
+    second_a, second_b = ta.second, tb.second
+    qq = float(np.vdot(ta.q, tb.q).real)
     # both orders are combined, as in ambient_forms, so g is exactly
     # symmetric and w exactly antisymmetric
-    ab = complex(np.vdot(y_a, y_b))
-    ba = complex(np.vdot(y_b, y_a))
-    second_a = float(np.vdot(y_a, y_a).real)
-    second_b = float(np.vdot(y_b, y_b).real)
+    ab = complex(np.vdot(ta.y, tb.y))
+    ba = complex(np.vdot(tb.y, ta.y))
     scale = 2.0 / ctx.hbar
     return PairTerms(
         exp_a=exp_a,
@@ -366,11 +403,11 @@ def pair_terms(a, b, psi: PurificationFrame,
         second_b=second_b,
         g_ab=(ab.real + ba.real) / ctx.hbar - scale * (qq + exp_a * exp_b),
         w_ab=(ab.imag - ba.imag) / ctx.hbar,
-        g_aa=scale * (second_a - sq_qa - exp_a * exp_a),
-        g_bb=scale * (second_b - sq_qb - exp_b * exp_b),
+        g_aa=scale * (second_a - ta.q_sq - exp_a * exp_a),
+        g_bb=scale * (second_b - tb.q_sq - exp_b * exp_b),
         pa_pb=scale * qq,
-        pa_pa=scale * sq_qa,
-        pb_pb=scale * sq_qb,
+        pa_pa=scale * ta.q_sq,
+        pb_pb=scale * tb.q_sq,
     )
 
 

@@ -7,6 +7,10 @@ spectrum on the k-dimensional ancilla. The multiplicity structure of sigma
 is always *declared*, never inferred from floating-point clustering: the
 shape of the gauge group (block-diagonal unitaries commuting with P) must be
 exact.
+
+Spectra and frames are immutable values: their arrays are read-only, and a
+frame remembers what is derived from it (rho, and each observable's data,
+keyed by the observable's content) in a small per-frame memo.
 """
 
 from __future__ import annotations
@@ -152,12 +156,26 @@ class DensityState:
         return self.rho.shape[-1]
 
 
+# Most entries a frame's memo keeps; the oldest goes first. A request over m
+# observables needs 2m + 1 (each observable's kernel terms and trace side, and
+# rho), so 64 covers every `qgeo bounds` call of up to 31 observables.
+FRAME_MEMO_CAP = 64
+
+
 @dataclass(frozen=True)
 class PurificationFrame:
-    """n x k matrix psi with psi†psi = P; a purification of psi psi†."""
+    """n x k matrix psi with psi†psi = P; a purification of psi psi†.
+
+    Immutable, as ``Spectrum`` is: psi is marked read-only, so data derived
+    from the frame (rho, each observable's k x k terms) is computed once per
+    frame and remembered in a per-frame memo (``_remember``).
+    """
 
     psi: np.ndarray
     sigma: Spectrum
+
+    def __post_init__(self) -> None:
+        _frozen(self.psi)
 
     @property
     def n(self) -> int:
@@ -166,6 +184,31 @@ class PurificationFrame:
     @property
     def k(self) -> int:
         return self.psi.shape[1]
+
+    @cached_property
+    def _memo(self) -> dict:
+        return {}
+
+    def _remember(self, key, tol: Tolerances | None, build):
+        """``build()``, computed once per key at this frame and remembered.
+
+        ``tol`` is the record the value was checked under: an entry made
+        under another record is built again (the check it passed may fail
+        now), compared by identity first since a context reuses its record.
+        ``build`` must return derived data only, never an alias of a
+        caller's array, so a key made from an observable's content stays
+        true to it. A ``build`` that raises leaves the memo unchanged.
+        """
+        memo = self._memo
+        entry = memo.get(key)
+        if entry is not None and (entry[0] is tol or entry[0] == tol):
+            return entry[1]
+        value = build()
+        memo.pop(key, None)
+        if len(memo) >= FRAME_MEMO_CAP:
+            del memo[next(iter(memo))]
+        memo[key] = (tol, value)
+        return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,9 +287,10 @@ def density_state(rho, sigma: Spectrum, tol: Tolerances | None = None) -> Densit
 
 
 def purification_frame(psi, sigma: Spectrum, tol: Tolerances | None = None) -> PurificationFrame:
-    """Validate psi†psi = P and wrap."""
+    """Validate psi†psi = P and wrap a copy (the frame's psi is read-only;
+    the caller's array is left as it was)."""
     tol = tol or default_tolerances()
-    psi = check_finite(psi, "psi")
+    psi = check_finite(np.array(psi, dtype=complex), "psi")
     n, k = psi.shape
     if k != sigma.k:
         raise BadDims(f"frame has {k} columns, spectrum rank is {sigma.k}")

@@ -15,7 +15,9 @@ For observables A, B at a mixed state rho with purification psi:
 The two bounds differ exactly by the xi_perp cross term, which measures the
 classical covariance content hidden in the gauge directions; the
 decomposition report exposes every term and self-checks the underlying
-product identities.
+product identities. The trace side of those checks is computed from
+rho = psi psi†, apart from the k x k kernel; the frame remembers rho and
+each observable's A rho, <A> and dA, so the pairs of one request share them.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .config import Tolerances
 from .errors import IdentityViolation, SpectrumDrift
 from .geometry import GeometryContext, _lift, pair_terms, split
 from .linalg import _unitary_flow, check_observable, frobenius
-from .states import DensityState, PurificationFrame, Spectrum, frame_to_state
+from .states import DensityState, PurificationFrame, Spectrum, _frozen, frame_to_state
 
 __all__ = [
     "BoundReport",
@@ -112,6 +114,20 @@ def rs_bound(a, b, state: DensityState, tol: Tolerances | None = None) -> float:
     return float(np.hypot(*_cov_com(a, b, a_rho, b_rho, exp_a, exp_b)))
 
 
+def _trace_side(a: np.ndarray, psi: PurificationFrame) -> tuple[np.ndarray, float, float]:
+    """A rho, <A> and dA for a checked observable, traced against
+    rho = psi psi†; the frame remembers rho and each observable's triple
+    (by content), independently of ``pair_terms``' k x k data."""
+
+    def build() -> tuple[np.ndarray, float, float]:
+        rho = psi._remember("rho", None, lambda: frame_to_state(psi).rho)
+        a_rho = _frozen(a @ rho)
+        exp, d = _moments(a, a_rho)
+        return a_rho, float(exp), float(d)
+
+    return psi._remember(("trace", a.shape, a.tobytes()), None, build)
+
+
 def _winner(geo: float, rs: float, da: float, db: float, tol: Tolerances) -> str:
     window = tol.tie * max(1.0, da * db)
     if geo > rs + window:
@@ -147,10 +163,8 @@ def decomposition(a, b, psi: PurificationFrame,
     # the trace side of both identities, from rho = psi psi† (pair_terms
     # has validated the observables)
     a, b = (np.asarray(x, dtype=complex) for x in (a, b))
-    rho = frame_to_state(psi).rho
-    a_rho, b_rho = a @ rho, b @ rho
-    exp_a, d_a = (float(x) for x in _moments(a, a_rho))
-    exp_b, d_b = (float(x) for x in _moments(b, b_rho))
+    a_rho, exp_a, d_a = _trace_side(a, psi)
+    b_rho, exp_b, d_b = _trace_side(b, psi)
 
     quarter = 0.25 * hbar * hbar
     lhs1 = (d_a * d_b) ** 2

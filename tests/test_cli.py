@@ -1,9 +1,12 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qgeo.linalg
 from qgeo.cli import main
+from qgeo.linalg import sample_hermitian
 from qgeo.serialize import dumps, matrix_to_json
 from qgeo.spin import build_spin
 
@@ -73,7 +76,7 @@ class TestBoundsCommand:
         code = main(["bounds", str(workdir / "state.json"),
                      str(workdir / "bad_obs.json"), "--pair", "A,A"])
         assert code == 1
-        assert "NotHermitian" in capsys.readouterr().err
+        assert "NotHermitian: obs 'A'" in capsys.readouterr().err
 
     def test_wrong_dimension_exits_1(self, workdir, tmp_path, capsys):
         (tmp_path / "small.json").write_text(dumps(
@@ -84,6 +87,40 @@ class TestBoundsCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert "BadDims" in err and "'Half'" in err
+
+    def test_checks_each_observable_once(self, tmp_path, monkeypatch):
+        # 8 observables in all 28 pairs on a 4-level state: one check per
+        # observable (the named pre-check) and two on the state
+        rng = np.random.default_rng(18)
+        names = [f"O{i}" for i in range(8)]
+        (tmp_path / "state.json").write_text(dumps({
+            "hbar": 1.0,
+            "rho": matrix_to_json(np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)),
+            "spectrum": {"values": [0.4, 0.3, 0.2, 0.1], "mults": [1, 1, 1, 1]},
+        }))
+        (tmp_path / "obs.json").write_text(dumps(
+            {name: matrix_to_json(sample_hermitian(4, rng)) for name in names}))
+        pairs = [f"{a},{b}" for i, a in enumerate(names) for b in names[i + 1:]]
+        calls = []
+        check = qgeo.linalg.check_hermitian
+        monkeypatch.setattr(qgeo.linalg, "check_hermitian",
+                            lambda *args, **kwargs: calls.append(1) or check(*args, **kwargs))
+        args = ["bounds", str(tmp_path / "state.json"), str(tmp_path / "obs.json")]
+        for pair in pairs:
+            args += ["--pair", pair]
+        assert main(args + ["--out", str(tmp_path / "out.json")]) == 0
+        assert len(pairs) == 28 and len(calls) == 10
+        payload = json.loads((tmp_path / "out.json").read_text())
+        assert list(payload["pairs"]) == pairs
+
+    def test_examples_run(self, tmp_path):
+        examples = Path(__file__).resolve().parent.parent / "examples"
+        out = tmp_path / "report.json"
+        assert main(["bounds", str(examples / "state.json"),
+                     str(examples / "observables.json"),
+                     "--pair", "Sx,Sy", "--pair", "Sx,Sz", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["pairs"]["Sx,Sy"]["geo_bound"] == pytest.approx(0.35, abs=1e-9)
 
     def test_unknown_name_exits_1(self, workdir):
         assert main(["bounds", str(workdir / "state.json"),

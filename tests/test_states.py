@@ -144,6 +144,20 @@ class TestFrames:
         psi = np.eye(3)[:, :2] * np.sqrt([0.7, 0.3])
         assert np.array_equal(purification_frame(psi, sigma).psi, psi)
 
+    def test_frames_are_read_only_copies(self, rng):
+        sigma = make_spectrum((0.6, 0.4))
+        raw = np.array(random_frame(sigma, 3, rng).psi)
+        frame = purification_frame(raw, sigma)
+        assert raw.flags.writeable
+        for f in (frame, random_frame(sigma, 3, rng), purify(frame_to_state(frame)),
+                  gauge_act(frame, np.diag([1j, -1.0]))):
+            assert not f.psi.flags.writeable
+            with pytest.raises(ValueError):
+                f.psi[0, 0] = 0.0
+        before = frame.psi.copy()
+        raw[0, 0] += 1.0
+        assert np.array_equal(frame.psi, before)
+
     def test_gauge_act_preserves_state(self, mixed_frame, rng):
         u = random_gauge(mixed_frame.sigma, rng)
         moved = gauge_act(mixed_frame, u)

@@ -1,13 +1,26 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 import qgeo.linalg
+import qgeo.uncertainty
 from qgeo.errors import BadDims, IdentityViolation, NotHermitian, SpectrumDrift
-from qgeo.geometry import GeometryContext, ambient_forms, brackets, hamiltonian_lift, xi_field
+from qgeo.geometry import (
+    GeometryContext,
+    ambient_forms,
+    brackets,
+    hamiltonian_lift,
+    observable_terms,
+    pair_terms,
+    xi_field,
+)
 from qgeo.linalg import sample_hermitian, unitary_exponential_family
 from qgeo.spin import build_ensemble, build_spin
 from qgeo.states import (
+    FRAME_MEMO_CAP,
     DensityState,
+    PurificationFrame,
     density_state,
     frame_to_state,
     make_spectrum,
@@ -15,6 +28,7 @@ from qgeo.states import (
     random_frame,
 )
 from qgeo.uncertainty import (
+    BoundReport,
     classify,
     combined_bound,
     decomposition,
@@ -192,6 +206,7 @@ class TestDecomposition:
             assert product >= report.combined_bound - slack
 
     def test_validates_each_observable_once(self, mixed_frame, ctx, rng, monkeypatch):
+        # once per frame and tolerance record, however many pairs it is in
         calls = []
         check = qgeo.linalg.check_hermitian
 
@@ -203,14 +218,17 @@ class TestDecomposition:
         a = sample_hermitian(5, rng)
         b = sample_hermitian(5, rng)
         decomposition(a, b, mixed_frame, ctx)
-        assert len(calls) == 2
+        assert calls == ["observable A", "observable B"]
         decomposition(a, a, mixed_frame, ctx)
+        decomposition(b, a, mixed_frame, ctx)
+        assert len(calls) == 2
+        decomposition(a, b, _fresh(mixed_frame), ctx)
         assert len(calls) == 4
+        decomposition(a, b, mixed_frame, GeometryContext(tol=ctx.tol.scaled(2.0)))
+        assert len(calls) == 6
 
     def test_identity_checks_use_the_trace_side(self, demo, ctx, monkeypatch):
         # a kernel that disagrees with the traces against rho must be caught
-        import qgeo.uncertainty
-
         spin, _, frame = demo
         true = qgeo.uncertainty.pair_terms
 
@@ -220,6 +238,97 @@ class TestDecomposition:
         monkeypatch.setattr(qgeo.uncertainty, "pair_terms", skewed)
         with pytest.raises(IdentityViolation, match="uncertainty-product"):
             decomposition(spin.sx, spin.sy, frame, ctx)
+
+
+def _fresh(frame: PurificationFrame) -> PurificationFrame:
+    """The same frame as a new value, with nothing remembered."""
+    return PurificationFrame(frame.psi.copy(), frame.sigma)
+
+
+def _bits(report: BoundReport) -> tuple:
+    """Every field of a report, floats by their exact bits."""
+    return tuple(v.hex() if isinstance(v, float) else v
+                 for v in (getattr(report, f.name) for f in fields(report)))
+
+
+class TestFrameMemo:
+    """Per-observable data is remembered per frame by the observable's
+    content; what is remembered must never differ from a fresh evaluation."""
+
+    def test_reports_equal_fresh_frames_bitwise(self, rng, ctx):
+        for n in (2, 4, 8):
+            for k in range(1, n + 1):
+                raw = np.cumsum(rng.uniform(0.2, 1.0, size=k))[::-1]
+                frame = random_frame(make_spectrum(raw / raw.sum()), n, rng)
+                obs = [sample_hermitian(n, rng) for _ in range(4)]
+                for a in obs:
+                    for b in obs:
+                        shared = decomposition(a, b, frame, ctx)
+                        alone = decomposition(a, b, _fresh(frame), ctx)
+                        assert _bits(shared) == _bits(alone)
+
+    def test_observable_changed_in_place_is_formed_again(self, mixed_frame, ctx, rng):
+        a = sample_hermitian(5, rng)
+        b = sample_hermitian(5, rng)
+        before = decomposition(a, b, mixed_frame, ctx)
+        a += sample_hermitian(5, rng)
+        after = decomposition(a, b, mixed_frame, ctx)
+        assert _bits(after) == _bits(decomposition(a, b, _fresh(mixed_frame), ctx))
+        assert after.expA != before.expA
+
+    def test_looser_tolerances_do_not_vouch_for_stricter_ones(self, mixed_frame, ctx, rng):
+        a = sample_hermitian(5, rng) + 1e-9j * sample_hermitian(5, rng)
+        b = sample_hermitian(5, rng)
+        loose = GeometryContext(tol=ctx.tol.scaled(1e6))
+        decomposition(a, b, mixed_frame, loose)
+        with pytest.raises(NotHermitian, match="observable A"):
+            decomposition(a, b, mixed_frame, ctx)
+        with pytest.raises(NotHermitian, match="observable B"):
+            pair_terms(b, a, mixed_frame, ctx)
+
+    def test_failed_check_is_not_remembered(self, mixed_frame, ctx, rng):
+        bad = sample_hermitian(5, rng) + 1e-9j * sample_hermitian(5, rng)
+        for _ in range(2):
+            with pytest.raises(NotHermitian):
+                observable_terms(bad, mixed_frame, ctx)
+        assert len(mixed_frame._memo) == 0
+
+    def test_memo_is_capped_oldest_first(self, mixed_frame, ctx, rng, monkeypatch):
+        first = sample_hermitian(5, rng)
+        observable_terms(first, mixed_frame, ctx)
+        for _ in range(FRAME_MEMO_CAP + 3):
+            observable_terms(sample_hermitian(5, rng), mixed_frame, ctx)
+        assert len(mixed_frame._memo) == FRAME_MEMO_CAP
+        calls = []
+        check = qgeo.linalg.check_hermitian
+        monkeypatch.setattr(qgeo.linalg, "check_hermitian",
+                            lambda *args, **kwargs: calls.append(1) or check(*args, **kwargs))
+        observable_terms(first, mixed_frame, ctx)
+        assert len(calls) == 1
+        assert len(mixed_frame._memo) == FRAME_MEMO_CAP
+
+    def test_rho_is_formed_once_per_frame(self, mixed_frame, ctx, rng, monkeypatch):
+        calls = []
+        true = qgeo.uncertainty.frame_to_state
+        monkeypatch.setattr(qgeo.uncertainty, "frame_to_state",
+                            lambda frame: calls.append(1) or true(frame))
+        obs = [sample_hermitian(5, rng) for _ in range(4)]
+        for a in obs:
+            for b in obs:
+                decomposition(a, b, mixed_frame, ctx)
+        assert len(calls) == 1
+
+
+class TestPureStateTie:
+    def test_random_pure_pairs_tie(self, rng, ctx):
+        # at k = 1, xi_perp vanishes, so the geometric and RS bounds coincide
+        sigma = make_spectrum((1.0,))
+        for _ in range(40):
+            n = int(rng.integers(2, 7))
+            frame = random_frame(sigma, n, rng)
+            report = decomposition(sample_hermitian(n, rng), sample_hermitian(n, rng),
+                                   frame, ctx)
+            assert report.winner == "tie"
 
 
 class TestDimensionErrors:
